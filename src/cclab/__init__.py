@@ -10,8 +10,6 @@ from .core import (
     MixtureWeights,
     TableModel,
     TaskDistribution,
-    TupleOutcome,
-    enumerate_tuples,
     mixture,
     normalize,
     random_table_model,
@@ -26,7 +24,6 @@ from .losses import (
     population_distillation,
     population_test_loss,
     population_train_loss,
-    similarity_prob,
 )
 from .bounds import (
     BoundConstants,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EmbeddingModel, MixtureWeights, TaskDistribution
-from .losses import population_contrastive, population_distillation
+from .losses import _population_terms, population_contrastive
 
 E2 = math.exp(2.0)
 
@@ -55,19 +55,22 @@ def lemma1_slack(
     f_prev: EmbeddingModel,
     dist: TaskDistribution,
     k: int = 1,
+    *,
+    alpha_corruption: float = 0.0,
 ) -> tuple[float, float]:
     """Slack of both sides of the consecutive-model loss sandwich.
 
     upper_slack = alpha*L_con(f_prev) + L_dis + beta - L_con(f_t),
     lower_slack = L_con(f_t) - alpha*L_con(f_prev) - L_dis - beta'.
-    Both are non-negative up to float error for unit-norm models.
+    Both are non-negative up to float error for unit-norm models. All
+    three losses come from one exact pass. ``alpha_corruption`` shifts
+    alpha; nonzero values exist only to prove the checks can fail.
     """
     c = constants(k)
-    l_t = population_contrastive(f_t, dist, k)
-    l_prev = population_contrastive(f_prev, dist, k)
-    l_dis = population_distillation(f_t, f_prev, dist, k)
-    upper_slack = c.alpha * l_prev + l_dis + c.beta - l_t
-    lower_slack = l_t - c.alpha * l_prev - l_dis - c.beta_prime
+    alpha = c.alpha + alpha_corruption
+    l_t, l_prev, l_dis, _ = _population_terms(f_t, dist, k, f_prev)
+    upper_slack = alpha * l_prev + l_dis + c.beta - l_t
+    lower_slack = l_t - alpha * l_prev - l_dis - c.beta_prime
     return upper_slack, lower_slack
 
 
@@ -346,18 +349,14 @@ def lemma1_trials(
     from .core import random_table_model
 
     rng = np.random.default_rng(seed)
-    c = constants(k)
-    alpha = c.alpha + alpha_corruption
     worst_up = worst_lo = np.inf
     for _ in range(trials):
         dist = random_distribution(rng, support_size, dimension)
         f_t = random_table_model(dist, embed_dim, rng)
         f_prev = random_table_model(dist, embed_dim, rng)
-        l_t = population_contrastive(f_t, dist, k)
-        l_prev = population_contrastive(f_prev, dist, k)
-        l_dis = population_distillation(f_t, f_prev, dist, k)
-        worst_up = min(worst_up, alpha * l_prev + l_dis + c.beta - l_t)
-        worst_lo = min(worst_lo, l_t - alpha * l_prev - l_dis - c.beta_prime)
+        up, lo = lemma1_slack(f_t, f_prev, dist, k, alpha_corruption=alpha_corruption)
+        worst_up = min(worst_up, up)
+        worst_lo = min(worst_lo, lo)
     return float(worst_up), float(worst_lo)
 
 

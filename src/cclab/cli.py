@@ -168,26 +168,31 @@ TRAIN_DEFAULTS = {
 
 
 def _run_from_config(cfg: dict):
-    tasks = make_blob_sequence(
-        cfg["tasks"], cfg["classes_per_task"], cfg["points_per_class"],
-        cfg["d_in"], seed=cfg["data_seed"],
-    )
-    run_cfg = RunConfig(
-        hidden=cfg["hidden"],
-        embed_dim=cfg["embed_dim"],
-        sgd=SgdConfig(
-            lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-            momentum=cfg["momentum"], seed=cfg["seed"],
-        ),
-        temps=Temperatures(
-            contrastive=cfg["tau_contrastive"],
-            distill_current=cfg["tau_distill_current"],
-            distill_past=cfg["tau_distill_past"],
-        ),
-        mode=cfg["mode"], lam0=cfg["lam0"], kappa=cfg["kappa"],
-        buffer_size=cfg["buffer_size"], seed=cfg["seed"],
-        probe_epochs=cfg["probe_epochs"],
-    )
+    """Task sequence and RunConfig of a train-style config; a value they
+    reject is a ConfigError."""
+    try:
+        tasks = make_blob_sequence(
+            cfg["tasks"], cfg["classes_per_task"], cfg["points_per_class"],
+            cfg["d_in"], seed=cfg["data_seed"],
+        )
+        run_cfg = RunConfig(
+            hidden=cfg["hidden"],
+            embed_dim=cfg["embed_dim"],
+            sgd=SgdConfig(
+                lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                momentum=cfg["momentum"], seed=cfg["seed"],
+            ),
+            temps=Temperatures(
+                contrastive=cfg["tau_contrastive"],
+                distill_current=cfg["tau_distill_current"],
+                distill_past=cfg["tau_distill_past"],
+            ),
+            mode=cfg["mode"], lam0=cfg["lam0"], kappa=cfg["kappa"],
+            buffer_size=cfg["buffer_size"], seed=cfg["seed"],
+            probe_epochs=cfg["probe_epochs"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return tasks, run_cfg
 
 
@@ -270,12 +275,16 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
-    spec = ScenarioSpec(
-        T=cfg["T"], weight_rule=cfg["scenario"], rho=cfg["rho"],
-        loss_rule=cfg["loss_rule"], base_loss=cfg["base_loss"],
-    )
-    weights = scenario_weights(spec)
-    losses = scenario_train_losses(spec)
+    try:
+        spec = ScenarioSpec(
+            T=cfg["T"], weight_rule=cfg["scenario"], rho=cfg["rho"],
+            loss_rule=cfg["loss_rule"], base_loss=cfg["base_loss"],
+        )
+        weights = scenario_weights(spec)
+        losses = scenario_train_losses(spec)
+        constants(cfg["k"])  # a bad k would otherwise skip every grid point
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     lam_star = turning_point(weights)
     grid = _parse_grid(grid_spec)
     rows = ["lambda,upper,lower"]
@@ -322,6 +331,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     if vary not in ("lam0", "kappa", "mode", "seed"):
         raise ConfigError(f"cannot vary {vary!r}")
     base = {k: v for k, v in cfg.items() if k not in ("vary", "values", "seeds")}
+    _run_from_config(base)  # a bad shared value fails here, not in every cell
     jobs = [(base, vary, v, s) for v in values for s in seeds]
     workers = int(os.environ.get("CCL_THREADS", "0")) or None
     results, errors = [], []

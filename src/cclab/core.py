@@ -1,5 +1,6 @@
 """Finite-support labeled distributions, unit-sphere embeddings, and the
-tuple outcome space that population losses are defined over.
+outcome space that population losses are defined over: same-class
+(anchor, positive) pairs and multisets of negatives.
 
 Everything here is a plain value object: distributions are frozen after
 construction and all operations are pure functions, so they are safe to
@@ -8,9 +9,11 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterator
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,20 +174,42 @@ def mixture(dists: list[TaskDistribution], w: MixtureWeights) -> TaskDistributio
     return TaskDistribution(points=points, labels=labels, mass=mass)
 
 
-@dataclass(frozen=True)
-class TupleOutcome:
-    """One joint draw (anchor, positive, negatives) with its probability."""
+@functools.lru_cache(maxsize=64)
+def negative_multisets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(n+k-1, k) multisets of k negatives from an n-point support.
 
-    anchor: np.ndarray
-    positive: np.ndarray
-    negatives: np.ndarray  # (k, d_in)
-    weight: float
+    Returns (counts, multiplicity): row J of the (M, n) ``counts`` says
+    how often each point occurs in multiset J, and ``multiplicity[J]`` is
+    the multinomial coefficient k! / prod_j counts[J, j]!, the number of
+    ordered k-tuples that sort to J. Both arrays are cached per (n, k)
+    and read-only.
+    """
+    if k < 1:
+        raise ValueError("need at least one negative sample")
+    combos = np.array(
+        list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64
+    ).reshape(-1, k)
+    counts = np.zeros((combos.shape[0], n))
+    np.add.at(counts, (np.arange(combos.shape[0])[:, None], combos), 1.0)
+    factorials = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.float64)
+    multiplicity = factorials[k] / factorials[counts.astype(np.int64)].prod(axis=1)
+    counts.setflags(write=False)
+    multiplicity.setflags(write=False)
+    return counts, multiplicity
 
 
-def negative_combos(n: int, k: int) -> np.ndarray:
-    """All ordered k-tuples of indices into an n-point support, (n**k, k)."""
-    grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, k)
+def negative_weights(dist: TaskDistribution, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The negative multisets of ``dist`` and their probabilities.
+
+    Each negative is drawn via its own class draw c_i ~ mu and x_i ~
+    D_{c_i}; marginalizing the class draws leaves the k negatives i.i.d.
+    with the raw point masses, so multiset J has probability
+    multiplicity[J] * prod_j mass_j^counts[J, j]. Negatives may collide
+    with the anchor's class or the anchor itself.
+    Returns (counts (M, n), weights (M,)); the weights sum to 1.
+    """
+    counts, multiplicity = negative_multisets(dist.size, k)
+    return counts, multiplicity * np.prod(dist.mass ** counts, axis=1)
 
 
 def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,46 +219,13 @@ def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.n
     pair weight is mu(c) * D_c(x) * D_c(x+) = mass(x) * mass(x+) / mu(c).
     Identical-point pairs are included.
     """
-    anchors, positives, weights = [], [], []
-    for c in dist.classes:
-        idx, cond = dist.within_class(int(c))
-        mu = dist.class_prob(int(c))
-        for a, pa in zip(idx, cond):
-            for b, pb in zip(idx, cond):
-                anchors.append(a)
-                positives.append(b)
-                weights.append(mu * pa * pb)
-    return (
-        np.asarray(anchors, dtype=np.int64),
-        np.asarray(positives, dtype=np.int64),
-        np.asarray(weights, dtype=np.float64),
-    )
-
-
-def enumerate_tuples(dist: TaskDistribution, k: int) -> Iterator[TupleOutcome]:
-    """Every joint outcome of the (k+2)-tuple draw with positive weight.
-
-    The draw is c+ ~ mu, then x, x+ i.i.d. from D_{c+}, then each negative
-    via its own class draw c_i ~ mu and x_i ~ D_{c_i}. Marginalizing the
-    negative class draws leaves each negative i.i.d. with the raw point
-    masses, which is how the weights are computed here. Negatives may
-    collide with the anchor's class or the anchor itself.
-    """
-    if k < 1:
-        raise ValueError("need at least one negative sample")
-    anchors, positives, pair_w = positive_pairs(dist)
-    combos = negative_combos(dist.size, k)
-    neg_w = np.prod(dist.mass[combos], axis=1)
-    for a, b, wp in zip(anchors, positives, pair_w):
-        for combo, wn in zip(combos, neg_w):
-            w = float(wp * wn)
-            if w > 0:
-                yield TupleOutcome(
-                    anchor=dist.points[a],
-                    positive=dist.points[b],
-                    negatives=dist.points[combo],
-                    weight=w,
-                )
+    _, cls = np.unique(dist.labels, return_inverse=True)
+    mu = np.bincount(cls, weights=dist.mass)
+    order = np.argsort(cls, kind="stable")  # class by class, in index order
+    a, b = np.nonzero(cls[order][:, None] == cls[order][None, :])
+    anchors, positives = order[a], order[b]
+    weights = dist.mass[anchors] * dist.mass[positives] / mu[cls[anchors]]
+    return anchors, positives, weights
 
 
 class EmbeddingModel:
@@ -266,7 +258,8 @@ class TableModel(EmbeddingModel):
     """Embedding model defined by an explicit point -> vector table.
 
     Lookup is by exact float bytes, which is what table snapshots of
-    trained encoders produce for the supports they were built from.
+    trained encoders produce for the supports they were built from. Keys
+    are taken from ``p + 0.0`` so that -0.0 and 0.0 name the same point.
     """
 
     def __init__(self, points: np.ndarray, vectors: np.ndarray):
@@ -275,14 +268,12 @@ class TableModel(EmbeddingModel):
         if points.shape[0] != vectors.shape[0]:
             raise ValueError("one vector per point required")
         self.dim = vectors.shape[1]
-        self._table = {
-            p.tobytes(): v for p, v in zip(points, vectors)
-        }
+        self._table = {(p + 0.0).tobytes(): v for p, v in zip(points, vectors)}
 
     def embed(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         try:
-            rows = [self._table[p.tobytes()] for p in points]
+            rows = [self._table[(p + 0.0).tobytes()] for p in points]
         except KeyError:
             raise KeyError("point not present in embedding table") from None
         return np.stack(rows)

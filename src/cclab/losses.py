@@ -4,23 +4,25 @@ aggregates, the batch-level SupCon and IRD losses used during training,
 and the cross-entropy decomposition identity behind the bound proofs.
 
 Population expectations are computed by exact enumeration over the
-support, vectorized over the (pair, negative-combo) outcome grid. Cost is
-O(P * n^k) per loss where P is the number of same-class ordered pairs.
+support. Both losses are symmetric in the k negatives, which depend only
+on the anchor, so the negatives are enumerated as the M = C(n+k-1, k)
+multisets of :func:`core.negative_weights` and folded into per-anchor
+tables; every loss is then evaluated on the (pair, multiset) grid. Cost
+is O(n^2 * M + P * M) per pass, where P is the number of same-class
+ordered pairs, against O(P * n^k) for enumerating ordered tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     EmbeddingModel,
-    MixtureWeights,
     TaskDistribution,
-    TupleOutcome,
-    mixture,
-    negative_combos,
+    negative_weights,
     positive_pairs,
 )
 
@@ -41,65 +43,87 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def similarity_prob(f: EmbeddingModel, outcome: TupleOutcome) -> np.ndarray:
-    """softmax(f(x)'f(x+), f(x)'f(x_1-), ..., f(x)'f(x_k-)).
+class _AnchorTables(NamedTuple):
+    """One model's similarities on the support, with the negatives folded in.
 
-    First entry is the positive-pair probability.
+    ``ex[a, j] = exp(s_aj - shift_a)`` is max-shifted per anchor row and
+    ``sums[a, J] = sum_{j in J} ex[a, j]`` (with multiplicity) is the
+    shifted negative sum of anchor a against multiset J.
     """
-    pts = np.vstack([outcome.anchor, outcome.positive, outcome.negatives])
-    emb = f.embed(pts)
-    logits = emb[0] @ emb[1:].T
-    return np.exp(_log_softmax(logits))
+
+    sims: np.ndarray  # (n, n) s_aj = f(x_a)'f(x_j)
+    shift: np.ndarray  # (n, 1) row max of sims
+    ex: np.ndarray  # (n, n)
+    sums: np.ndarray  # (n, M)
 
 
-@dataclass(frozen=True)
-class _TupleGrid:
-    """Embedded similarity data for the full (pair, combo) outcome grid."""
-
-    pos_sim: np.ndarray  # (P,) f(x)'f(x+)
-    neg_sim: np.ndarray  # (P, M, k) f(x)'f(x_i-)
-    weight: np.ndarray  # (P, M) joint outcome probability
-
-    @property
-    def margins(self) -> np.ndarray:
-        """v_i = f(x)'(f(x+) - f(x_i-)), shape (P, M, k)."""
-        return self.pos_sim[:, None, None] - self.neg_sim
-
-
-def _tuple_grid(f: EmbeddingModel, dist: TaskDistribution, k: int) -> _TupleGrid:
-    if k < 1:
-        raise ValueError("need at least one negative sample")
-    emb = f.embed(dist.points)
+def _anchor_tables(f: EmbeddingModel, points: np.ndarray, counts: np.ndarray) -> _AnchorTables:
+    emb = f.embed(points)
     sims = emb @ emb.T
+    shift = sims.max(axis=1, keepdims=True)
+    ex = np.exp(sims - shift)
+    return _AnchorTables(sims, shift, ex, ex @ counts.T)
+
+
+class _PopulationTerms(NamedTuple):
+    """Every exact population quantity of one (f_t, f_prev, dist, k)."""
+
+    con_t: float  # L_con(f_t)
+    con_prev: float  # L_con(f_prev)
+    dis: float  # L_dis(f_t; f_prev)
+    residual: float  # L_dis - L_con(f_t) - E[sum_i q_i(f_prev) v_i(f_t)]
+
+
+def _population_terms(
+    f_t: EmbeddingModel,
+    dist: TaskDistribution,
+    k: int,
+    f_prev: EmbeddingModel | None = None,
+) -> _PopulationTerms:
+    """The single exact pass behind every population loss.
+
+    Each model is embedded once. For pair (a, b) and negative multiset J,
+    with S = sum_{j in J} exp(s_aj), S' and e'_ab the same for f_prev, and
+    R = sum_{j in J} exp(s'_aj) s_aj:
+      link  = log(exp(s_ab) + S) - s_ab
+      CE    = log(exp(s_ab) + S) - (e'_ab s_ab + R) / (e'_ab + S')
+      cross = (s_ab S' - R) / (e'_ab + S').
+    Expectations weight pair p by its probability and J by its
+    multiplicity times prod_j mass_j^count_j. Without ``f_prev`` only
+    ``con_t`` is computed; the other fields are NaN.
+    """
+    counts, neg_w = negative_weights(dist, k)
     anchors, positives, pair_w = positive_pairs(dist)
-    combos = negative_combos(dist.size, k)
-    neg_w = np.prod(dist.mass[combos], axis=1)
-    pos_sim = sims[anchors, positives]
-    neg_sim = sims[anchors][:, combos]  # (P, M, k)
-    weight = pair_w[:, None] * neg_w[None, :]
-    return _TupleGrid(pos_sim=pos_sim, neg_sim=neg_sim, weight=weight)
 
+    def expect(values: np.ndarray) -> float:
+        return float(pair_w @ values @ neg_w)
 
-def _link_values(grid: _TupleGrid) -> np.ndarray:
-    """logistic link per outcome, shape (P, M)."""
-    t = -grid.margins  # exp(t) summed inside the log
-    m = np.maximum(0.0, t.max(axis=2))
-    return m + np.log(np.exp(-m) + np.exp(t - m[:, :, None]).sum(axis=2))
+    def on_grid(tab: _AnchorTables):
+        """s_ab, shifted exp(s_ab) and S on the (P, M) grid, and
+        log(exp(s_ab) + S) there."""
+        s_ab = tab.sims[anchors, positives][:, None]
+        e_ab = tab.ex[anchors, positives][:, None]
+        sums = tab.sums[anchors]
+        return s_ab, e_ab, sums, np.log(e_ab + sums) + tab.shift[anchors]
+
+    t = _anchor_tables(f_t, dist.points, counts)
+    s_ab, _, _, lse = on_grid(t)
+    con_t = expect(lse - s_ab)
+    if f_prev is None:
+        return _PopulationTerms(con_t, np.nan, np.nan, np.nan)
+    p = _anchor_tables(f_prev, dist.points, counts)
+    s_prev, e_ab, sums_prev, lse_prev = on_grid(p)
+    con_prev = expect(lse_prev - s_prev)
+    cross_sums = ((p.ex * t.sims) @ counts.T)[anchors]  # R on the (P, M) grid
+    denom = e_ab + sums_prev
+    dis = expect(lse - (e_ab * s_ab + cross_sums) / denom)
+    cross = expect((s_ab * sums_prev - cross_sums) / denom)
+    return _PopulationTerms(con_t, con_prev, dis, dis - con_t - cross)
 
 
 def population_contrastive(f: EmbeddingModel, dist: TaskDistribution, k: int = 1) -> float:
     """Exact expected contrastive loss of ``f`` on ``dist`` with k negatives."""
-    grid = _tuple_grid(f, dist, k)
-    return float(np.sum(grid.weight * _link_values(grid)))
-
-
-def _tuple_logits(grid: _TupleGrid) -> np.ndarray:
-    """(P, M, k+1) similarity logits, positive pair first."""
-    P, M, k = grid.neg_sim.shape
-    logits = np.empty((P, M, k + 1))
-    logits[:, :, 0] = grid.pos_sim[:, None]
-    logits[:, :, 1:] = grid.neg_sim
-    return logits
+    return _population_terms(f, dist, k).con_t
 
 
 def population_distillation(
@@ -109,12 +133,7 @@ def population_distillation(
     k: int = 1,
 ) -> float:
     """Exact expected cross-entropy from f_prev's similarity softmax to f_t's."""
-    grid_t = _tuple_grid(f_t, dist, k)
-    grid_p = _tuple_grid(f_prev, dist, k)
-    log_p_t = _log_softmax(_tuple_logits(grid_t))
-    p_prev = np.exp(_log_softmax(_tuple_logits(grid_p)))
-    ce = -(p_prev * log_p_t).sum(axis=2)
-    return float(np.sum(grid_t.weight * ce))
+    return _population_terms(f_t, dist, k, f_prev).dis
 
 
 def decomposition_residual(
@@ -127,14 +146,7 @@ def decomposition_residual(
     -p(f_prev) . log p(f_t) = l(v(f_t)) + sum_i q_i(f_prev) v_i(f_t),
     in expectation. Zero (within float error) by construction.
     """
-    grid_t = _tuple_grid(f_t, dist, k)
-    grid_p = _tuple_grid(f_prev, dist, k)
-    l_dis = population_distillation(f_t, f_prev, dist, k)
-    l_con = float(np.sum(grid_t.weight * _link_values(grid_t)))
-    # q_i(f_prev) = exp(-v_i) / (1 + sum exp(-v_j)), from f_prev's margins
-    q_prev = np.exp(_log_softmax(_tuple_logits(grid_p)))[:, :, 1:]
-    cross = float(np.sum(grid_t.weight * (q_prev * grid_t.margins).sum(axis=2)))
-    return l_dis - l_con - cross
+    return _population_terms(f_t, dist, k, f_prev).residual
 
 
 def population_train_loss(
@@ -164,13 +176,6 @@ def population_test_loss(
     if not tasks:
         raise ValueError("need at least one task")
     return float(sum(population_contrastive(f_final, d, k) for d in tasks))
-
-
-def mixture_of_past(
-    dists: list[TaskDistribution], weights: MixtureWeights
-) -> TaskDistribution:
-    """Convenience re-export of the seen-data mixture for loss callers."""
-    return mixture(dists, weights)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,17 @@ class TestLemma1:
             assert up >= -1e-10
             assert lo >= -1e-10
 
+    def test_large_k_sandwich(self):
+        # 6^10 ordered negative tuples, 3003 multisets
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            dist = random_distribution(rng, 6, 3)
+            f_t = random_table_model(dist, 4, rng)
+            f_p = random_table_model(dist, 4, rng)
+            up, lo = lemma1_slack(f_t, f_p, dist, 10)
+            assert up >= -1e-10
+            assert lo >= -1e-10
+
     def test_trial_helpers(self):
         up, lo = lemma1_trials(trials=30, k=1, seed=0)
         assert up >= -1e-10 and lo >= -1e-10

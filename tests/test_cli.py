@@ -54,6 +54,21 @@ class TestConfigHandling:
         code = main(["bounds", "--out", str(tmp_path / "o"), "--grid", "oops"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, doc", [
+        ("bounds", {"T": 1}),
+        ("bounds", {"k": 0}),
+        ("train", {"lr": -1}),
+        ("train", {"tasks": 0}),
+        ("sweep", dict(SMALL_TRAIN, momentum=1.5)),
+    ])
+    def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, "bad.json", doc)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "o"
         main(["bounds", "--out", str(out), "--grid", "0.5:2:4"])

@@ -1,6 +1,9 @@
-"""Value objects and the tuple outcome space."""
+"""Value objects and the (pair, negative multiset) outcome space."""
 
+import itertools
 import json
+import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -12,9 +15,9 @@ from cclab.core import (
     MixtureWeights,
     TableModel,
     TaskDistribution,
-    enumerate_tuples,
     mixture,
-    negative_combos,
+    negative_multisets,
+    negative_weights,
     normalize,
     normalize_rows,
     positive_pairs,
@@ -147,9 +150,14 @@ class TestMixture:
 
 
 class TestOutcomeSpace:
-    def test_negative_combos_shape(self):
-        assert negative_combos(3, 2).shape == (9, 2)
-        assert negative_combos(4, 1).shape == (4, 1)
+    def test_negative_multisets_shape(self):
+        for n, k in [(3, 2), (4, 1), (4, 5), (6, 10)]:
+            counts, multiplicity = negative_multisets(n, k)
+            assert counts.shape == (math.comb(n + k - 1, k), n)
+            np.testing.assert_array_equal(counts.sum(axis=1), k)
+            assert multiplicity.sum() == n**k  # every ordered tuple once
+        with pytest.raises(ValueError):
+            negative_multisets(3, 2)[0][0, 0] = 5.0  # cached tables are read-only
 
     def test_positive_pairs_weights_sum_to_one(self):
         _, _, w = positive_pairs(four_point_dist())
@@ -157,24 +165,46 @@ class TestOutcomeSpace:
 
     def test_two_class_one_point_each_counts(self):
         # with one point per class the only positive pair in a class is
-        # (x, x); negatives range over both points
+        # (x, x); negatives range over the multisets of both points
         d = two_class_dist()
-        outcomes = list(enumerate_tuples(d, k=1))
-        assert len(outcomes) == 4
-        assert sum(o.weight for o in outcomes) == pytest.approx(1.0)
-        outcomes2 = list(enumerate_tuples(d, k=2))
-        assert len(outcomes2) == 8
-        assert sum(o.weight for o in outcomes2) == pytest.approx(1.0)
+        _, _, pair_w = positive_pairs(d)
+        for k, n_multisets in [(1, 2), (2, 3)]:
+            _, neg_w = negative_weights(d, k)
+            grid = np.outer(pair_w, neg_w)
+            assert grid.size == 2 * n_multisets
+            assert grid.sum() == pytest.approx(1.0)
 
     def test_weights_sum_to_one_generic(self):
         d = four_point_dist()
-        for k in (1, 2, 3):
-            total = sum(o.weight for o in enumerate_tuples(d, k))
-            assert total == pytest.approx(1.0)
+        for k in (1, 2, 3, 7):
+            _, neg_w = negative_weights(d, k)
+            assert neg_w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_weights_aggregate_ordered_tuples(self):
+        # an ordered k-tuple of i.i.d. negatives has probability
+        # prod_i mass_i; summing those by sorted tuple gives the multiset weight
+        rng = np.random.default_rng(3)
+        for n in range(1, 5):
+            mass = rng.dirichlet(np.ones(n))
+            d = TaskDistribution(points=np.eye(n), labels=np.arange(n), mass=mass)
+            for k in range(1, 4):
+                ordered = defaultdict(float)
+                for combo in itertools.product(range(n), repeat=k):
+                    ordered[tuple(sorted(combo))] += math.prod(mass[i] for i in combo)
+                counts, neg_w = negative_weights(d, k)
+                got = {
+                    tuple(np.repeat(np.arange(n), row.astype(int))): w
+                    for row, w in zip(counts, neg_w)
+                }
+                assert got.keys() == ordered.keys()
+                for key, w in ordered.items():
+                    assert got[key] == pytest.approx(w, rel=1e-13, abs=1e-16)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_tuples(two_class_dist(), 0))
+            negative_multisets(2, 0)
+        with pytest.raises(ValueError):
+            negative_weights(two_class_dist(), 0)
 
 
 class TestModels:
@@ -189,6 +219,12 @@ class TestModels:
         m = TableModel(pts, vecs)
         out = m.embed(pts[::-1])
         np.testing.assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_table_model_signed_zero_is_one_key(self):
+        m = TableModel(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(m.embed(np.array([[-0.0, 1.0]])), [[1.0, 0.0]])
+        m = TableModel(np.array([[-0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(m.embed(np.array([[0.0, 1.0]])), [[1.0, 0.0]])
 
     def test_table_model_unknown_point(self):
         m = TableModel(np.zeros((1, 2)), np.ones((1, 2)))

@@ -10,11 +10,13 @@ from cclab.bounds import random_distribution
 from cclab.core import (
     ConstantModel,
     TableModel,
-    enumerate_tuples,
+    negative_weights,
+    positive_pairs,
     random_table_model,
 )
 from cclab.losses import (
     BatchEmbeddings,
+    _anchor_tables,
     decomposition_residual,
     empirical_contrastive,
     empirical_distillation,
@@ -24,7 +26,6 @@ from cclab.losses import (
     population_distillation,
     population_test_loss,
     population_train_loss,
-    similarity_prob,
 )
 from tests.helpers import (
     oracle_ird,
@@ -124,15 +125,48 @@ class TestPopulationDistillation:
         ) - 1e-12
 
 
-class TestSimilarityProb:
+class TestAnchorTables:
     def test_sums_to_one_positive_first(self):
+        # the similarity softmax over (positive, negatives of multiset J)
+        # is a distribution whose positive entry the factored table gives
         dist = random_distribution(np.random.default_rng(5), 4, 3)
         f = random_table_model(dist, 4, np.random.default_rng(6))
-        out = next(enumerate_tuples(dist, 2))
-        p = similarity_prob(f, out)
-        assert p.shape == (3,)
-        assert p.sum() == pytest.approx(1.0)
-        assert np.all(p > 0)
+        emb = f.embed(dist.points)
+        counts, _ = negative_weights(dist, 2)
+        tab = _anchor_tables(f, dist.points, counts)
+        anchors, positives, _ = positive_pairs(dist)
+        for a, b in zip(anchors, positives):
+            for J, row in enumerate(counts):
+                negs = np.repeat(np.arange(dist.size), row.astype(int))
+                logits = emb[a] @ emb[np.concatenate([[b], negs])].T
+                p = np.exp(logits - logits.max())
+                p /= p.sum()
+                assert p.shape == (3,)
+                assert p.sum() == pytest.approx(1.0)
+                assert np.all(p > 0)
+                positive = tab.ex[a, b] / (tab.ex[a, b] + tab.sums[a, J])
+                assert positive == pytest.approx(p[0], abs=1e-14)
+
+
+class TestMultisetEvaluator:
+    def test_matches_oracles_at_four_negatives(self):
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            dist = random_distribution(rng, 3, 3)
+            f_t = random_table_model(dist, 4, rng)
+            f_p = random_table_model(dist, 4, rng)
+            assert population_contrastive(f_t, dist, 4) == pytest.approx(
+                oracle_population_contrastive(f_t, dist, 4), abs=1e-12
+            )
+            assert population_distillation(f_t, f_p, dist, 4) == pytest.approx(
+                oracle_population_distillation(f_t, f_p, dist, 4), abs=1e-12
+            )
+            assert abs(decomposition_residual(f_t, f_p, dist, 4)) < 1e-12
+
+    def test_k_zero_rejected(self):
+        dist, model = two_point_antipodal()
+        with pytest.raises(ValueError):
+            population_contrastive(model, dist, 0)
 
 
 class TestDecomposition:
