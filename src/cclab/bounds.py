@@ -74,17 +74,9 @@ def lemma1_slack(
     return upper_slack, lower_slack
 
 
-@dataclass(frozen=True)
-class GammaProfile:
-    """The training-loss coefficient denominators at task t."""
-
-    t: int
-    lam: float
-    gamma: float  # min({1/t} u {lam * k_tj})
-    gamma_prime: float  # max({1} u {lam * k_tj})
-
-
-def gamma(t: int, lam: float, weights: MixtureWeights) -> GammaProfile:
+def gamma(t: int, lam: float, weights: MixtureWeights) -> tuple[float, float]:
+    """The training-loss coefficient denominators at task t:
+    (gamma, gamma') = (min({1/t} u {lam * k_tj}), max({1} u {lam * k_tj}))."""
     if t != weights.task_index:
         raise ValueError("weights belong to a different task index")
     if lam < 0:
@@ -92,7 +84,7 @@ def gamma(t: int, lam: float, weights: MixtureWeights) -> GammaProfile:
     scaled = lam * weights.weights
     g = min(1.0 / t, float(scaled.min()))
     gp = max(1.0, float(scaled.max()))
-    return GammaProfile(t=t, lam=lam, gamma=g, gamma_prime=gp)
+    return g, gp
 
 
 def analytic_min_contrastive(k: int = 1) -> float:
@@ -193,7 +185,7 @@ def theorem1_upper(
     eta = c.beta * _eta_factor(c.alpha, T)
     value = coeffs[0] * losses[0]
     for i, t in enumerate(range(2, T + 1)):
-        g = gamma(t, lams[i], weights[i]).gamma
+        g, _ = gamma(t, lams[i], weights[i])
         if g <= 0:
             raise ValueError(
                 f"task {t}: coefficient {lams[i]} gives a zero denominator"
@@ -240,7 +232,7 @@ def theorem1_lower(
     eta = c.beta_prime * _eta_factor(c.alpha, T)
     value = coeffs[0] * losses[0]
     for i, t in enumerate(range(2, T + 1)):
-        gp = gamma(t, lams[i], weights[i]).gamma_prime
+        _, gp = gamma(t, lams[i], weights[i])
         gammas.append(gp)
         w = c.alpha ** (T - t) / gp
         coeffs.append(w)
@@ -279,7 +271,7 @@ def compute_U(
     total = 0.0
     for loss, w in zip(losses, weights):
         j = w.task_index
-        g = gamma(j, lam_t, w).gamma
+        g, _ = gamma(j, lam_t, w)
         if g <= 0:
             raise ValueError(f"task {j}: zero denominator at coefficient {lam_t}")
         total += c.alpha ** (t - j) / g * loss

@@ -236,7 +236,10 @@ PROBE_DEFAULTS["checkpoint"] = ""
 def cmd_probe(cfg: dict, out: Path) -> int:
     tasks, run_cfg = _run_from_config(cfg)
     if cfg["checkpoint"]:
-        enc, _ = load_checkpoint(cfg["checkpoint"])
+        try:
+            enc, _ = load_checkpoint(cfg["checkpoint"])
+        except ValueError as exc:
+            raise OSError(f"corrupt checkpoint {cfg['checkpoint']}: {exc}") from exc
         buffer = run_sequence(tasks, run_cfg).buffer  # rebuild buffer state
     else:
         result = run_sequence(tasks, run_cfg)

@@ -79,12 +79,6 @@ class ReplayBuffer:
         return MixtureWeights(task_index=upto_task, weights=raw / raw.sum())
 
 
-def reservoir_insert(buffer: ReplayBuffer, point, label, source_task) -> ReplayBuffer:
-    """Functional wrapper over :meth:`ReplayBuffer.insert`."""
-    buffer.insert(point, label, source_task)
-    return buffer
-
-
 @dataclass
 class LambdaSchedule:
     """Distillation-coefficient state across tasks.
@@ -171,6 +165,10 @@ class RunConfig:
     u_t: float = 1.0
     delta_t: float = 0.1
     probe_epochs: int = 100
+
+    def __post_init__(self):
+        # the schedule's own checks, so a bad mode, lam0 or kappa fails here
+        LambdaSchedule(mode=self.mode, lam0=self.lam0, kappa=self.kappa)
 
     def manifest(self) -> dict:
         return {
@@ -276,7 +274,7 @@ def run_task(
         enc = enc_prev.copy()
         lam = adaptive_lambda(schedule, t)
 
-    velocity = np.zeros(enc.get_params().size)
+    velocity = np.zeros(enc.n_params)
     batch_rng = rngs["batching"]
     aug_rng = rngs["augment"]
     n = pts.shape[0]

@@ -3,6 +3,10 @@ for finite supports (any number of negatives), the training and test
 aggregates, the batch-level SupCon and IRD losses used during training,
 and the cross-entropy decomposition identity behind the bound proofs.
 
+The batch losses and their gradients with respect to the similarity
+matrix all come from one masked softmax over the off-diagonal of a
+(2N, 2N) logit matrix, so a training step computes each softmax once.
+
 Population expectations are computed by exact enumeration over the
 support. Both losses are symmetric in the k negatives, which depend only
 on the anchor, so the negatives are enumerated as the M = C(n+k-1, k)
@@ -34,13 +38,6 @@ def logistic_link(v: np.ndarray) -> float:
         raise ValueError("need at least one margin component")
     m = max(0.0, float(np.max(-v)))
     return m + np.log(np.exp(-m) + np.sum(np.exp(-v - m)))
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax along the last axis, max-shifted."""
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class _AnchorTables(NamedTuple):
@@ -197,55 +194,66 @@ class BatchEmbeddings:
             raise ValueError("one label per embedding row required")
 
 
-def empirical_contrastive(batch: BatchEmbeddings) -> float:
-    """SupCon loss of the batch, summed over anchors (no 1/2N factor).
+def _masked_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp and softmax of (n, n) logits over the off-diagonal.
+
+    The softmax has a zero diagonal; both are max-shifted per row.
+    """
+    off = ~np.eye(logits.shape[0], dtype=bool)
+    m = np.where(off, logits, -np.inf).max(axis=1)
+    ex = np.exp(logits - m[:, None], where=off, out=np.zeros_like(logits))
+    sums = ex.sum(axis=1)
+    return m + np.log(sums), ex / sums[:, None]
+
+
+def supcon_terms(
+    z: np.ndarray, labels: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """SupCon loss of unit rows ``z``, summed over anchors (no 1/2N factor),
+    and its gradient with respect to the similarity matrix zz'.
 
     Every anchor must have at least one positive, which paired views
     guarantee; an anchor without positives is an error.
     """
-    z, labels, tau = batch.z, batch.labels, batch.tau
     n = z.shape[0]
     if n < 2:
         raise ValueError("need at least two embeddings")
-    sims = (z @ z.T) / tau
-    off = ~np.eye(n, dtype=bool)
-    pos = (labels[:, None] == labels[None, :]) & off
+    pos = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
     counts = pos.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("anchor with empty positive set")
-    # per-anchor log-sum-exp over the 2N-1 others
-    m = np.where(off, sims, -np.inf).max(axis=1)
-    ex = np.exp(sims - m[:, None], where=off, out=np.zeros_like(sims))
-    lse = m + np.log(ex.sum(axis=1))
-    log_frac = sims - lse[:, None]
-    per_anchor = -(np.where(pos, log_frac, 0.0).sum(axis=1)) / counts
-    return float(per_anchor.sum())
+    logits = (z @ z.T) / tau
+    lse, p = _masked_softmax(logits)
+    per_anchor = -(np.where(pos, logits - lse[:, None], 0.0).sum(axis=1)) / counts
+    return float(per_anchor.sum()), (p - pos / counts[:, None]) / tau
 
 
-def instance_log_softmax(batch: BatchEmbeddings) -> np.ndarray:
-    """Per-anchor log similarity vector over the other 2N-1 instances.
-
-    Row i holds log softmax(z_i'z_j / tau, j != i) at the batch's
-    temperature, laid out in j order with the diagonal dropped.
+def ird_terms(
+    z: np.ndarray, z_past: np.ndarray, tau: float, tau_past: float
+) -> tuple[float, np.ndarray]:
+    """IRD loss, the cross-entropy from the past rows' instance-similarity
+    softmax at ``tau_past`` to the current rows' at ``tau``, summed over
+    anchors; and its gradient with respect to zz' with the past fixed.
+    Both arrays must index the same 2N samples in order.
     """
-    z, tau = batch.z, batch.tau
-    n = z.shape[0]
-    sims = (z @ z.T) / tau
-    off = ~np.eye(n, dtype=bool)
-    rows = sims[off].reshape(n, n - 1)
-    return _log_softmax(rows)
+    if z.shape[0] != z_past.shape[0]:
+        raise ValueError("batch sizes must match")
+    if z.shape[0] < 2:
+        raise ValueError("need at least two embeddings")
+    logits = (z @ z.T) / tau
+    lse, p = _masked_softmax(logits)
+    _, q = _masked_softmax((z_past @ z_past.T) / tau_past)
+    # q's zero diagonal drops each anchor's self-similarity from the loss
+    return float(-(q * (logits - lse[:, None])).sum()), (p - q) / tau
+
+
+def empirical_contrastive(batch: BatchEmbeddings) -> float:
+    """SupCon loss of the batch, summed over anchors: the loss of
+    :func:`supcon_terms`."""
+    return supcon_terms(batch.z, batch.labels, batch.tau)[0]
 
 
 def empirical_distillation(current: BatchEmbeddings, past: BatchEmbeddings) -> float:
-    """IRD loss: cross-entropy from the past model's instance-similarity
-    softmax (at its own temperature) to the current model's, summed over
-    anchors. Both batches must index the same 2N samples in order.
-    """
-    if current.z.shape[0] != past.z.shape[0]:
-        raise ValueError("batch sizes must match")
-    n = current.z.shape[0]
-    if n < 2:
-        raise ValueError("need at least two embeddings")
-    log_p = instance_log_softmax(current)
-    q = np.exp(instance_log_softmax(past))
-    return float(-(q * log_p).sum())
+    """IRD loss between two batches at their own temperatures, summed over
+    anchors: the loss of :func:`ird_terms`."""
+    return ird_terms(current.z, past.z, current.tau, past.tau)[0]

@@ -2,9 +2,11 @@
 reverse-mode gradients of the batch losses, plain SGD with momentum,
 finite-difference gradient verification, and checkpoint persistence.
 
-Gradients are written out by hand against the similarity matrix; the
-normalization head contributes the Jacobian (I - zz')/||z|| per row.
-Double precision throughout.
+The encoder keeps all of its parameters in one flat vector; the per-layer
+weights and biases are views into it. Gradients are written out by hand:
+the batch losses supply dL/d(zz') from the masked softmax they share with
+the loss values, and the normalization head contributes the Jacobian
+(I - zz')/||z|| per row. Double precision throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import NORM_TOL, TableModel, normalize_rows
-from .losses import BatchEmbeddings, empirical_contrastive, empirical_distillation
+from .losses import ird_terms, supcon_terms
 
 CHECKPOINT_MAGIC = b"CCL1"
 CHECKPOINT_VERSION = 1
@@ -38,6 +40,11 @@ class SgdConfig:
             raise ValueError("momentum must lie in [0, 1)")
 
 
+def _param_count(dims) -> int:
+    """Number of weights and biases of an encoder with layer widths ``dims``."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
 class Encoder:
     """Fully connected encoder mapping inputs to the unit sphere.
 
@@ -55,42 +62,46 @@ class Encoder:
         self.dims = dims
         self.activation = activation
         self.dim = dims[-1]
+        # the flat parameter vector; only ever updated in place, so the
+        # per-layer views below stay valid
+        self.params = np.empty(_param_count(dims))
+        self.weights, self.biases = self._layers(self.params)
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     # -- parameter vector -------------------------------------------------
 
+    def _layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views of a flat parameter-shaped
+        vector, laid out layer by layer as weights row-major, then biases."""
+        weights, biases = [], []
+        pos = 0
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
+            weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(flat[pos : pos + fan_out])
+            pos += fan_out
+        return weights, biases
+
     def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_params(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=np.float64)
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = theta[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = theta[pos : pos + b.size].copy()
-            pos += b.size
-        if pos != theta.size:
+        if theta.shape != self.params.shape:
             raise ValueError("parameter vector has the wrong length")
+        self.params[...] = theta
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.params.size
 
     def copy(self) -> "Encoder":
-        clone = Encoder(self.dims, activation=self.activation, seed=0)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone = Encoder(self.dims, activation=self.activation)
+        clone.params[...] = self.params
         return clone
 
     # -- forward ----------------------------------------------------------
@@ -140,18 +151,16 @@ class Encoder:
         d_raw = np.zeros_like(raw)
         inner = (d_z * z).sum(axis=1)
         d_raw[ok] = (d_z[ok] - inner[ok, None] * z[ok]) / norms[ok, None]
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grad = np.empty_like(self.params)
+        grads_w, grads_b = self._layers(grad)
         delta = d_raw
-        grads_w[-1] = acts[-1].T @ delta
-        grads_b[-1] = delta.sum(axis=0)
+        grads_w[-1][...] = acts[-1].T @ delta
+        grads_b[-1][...] = delta.sum(axis=0)
         for layer in range(len(self.weights) - 2, -1, -1):
             delta = (delta @ self.weights[layer + 1].T) * self._act_grad(acts[layer + 1])
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-        return np.concatenate(
-            [np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)]
-        )
+            grads_w[layer][...] = acts[layer].T @ delta
+            grads_b[layer][...] = delta.sum(axis=0)
+        return grad
 
 
 @dataclass
@@ -162,58 +171,9 @@ class Temperatures:
     distill_current: float = 0.2
     distill_past: float = 0.01
 
-
-def _supcon_sim_grad(sims: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarray:
-    """dL_supcon/dS for the summed-over-anchors loss, diagonal excluded."""
-    n = sims.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    pos = (labels[:, None] == labels[None, :]) & off
-    counts = pos.sum(axis=1)
-    scaled = sims / tau
-    m = np.where(off, scaled, -np.inf).max(axis=1)
-    ex = np.exp(scaled - m[:, None], where=off, out=np.zeros_like(scaled))
-    p = ex / ex.sum(axis=1, keepdims=True)
-    return (p - pos / counts[:, None]) / tau
-
-
-def _ird_sim_grad(
-    sims: np.ndarray, target_q: np.ndarray, tau: float
-) -> np.ndarray:
-    """dL_ird/dS with a fixed target row-distribution over the off-diagonal."""
-    n = sims.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    scaled = sims / tau
-    m = np.where(off, scaled, -np.inf).max(axis=1)
-    ex = np.exp(scaled - m[:, None], where=off, out=np.zeros_like(scaled))
-    p = ex / ex.sum(axis=1, keepdims=True)
-    q = np.zeros_like(sims)
-    q[off] = target_q.ravel()
-    return (p - q) / tau
-
-
-def batch_losses(
-    enc_t: Encoder,
-    enc_prev: Encoder | None,
-    points: np.ndarray,
-    labels: np.ndarray,
-    temps: Temperatures,
-) -> tuple[float, float]:
-    """(contrastive, distillation) batch losses, summed over anchors.
-
-    The distillation term is 0 when no previous model is given.
-    """
-    z = enc_t.forward(points)
-    l_con = empirical_contrastive(
-        BatchEmbeddings(z=z, labels=labels, tau=temps.contrastive)
-    )
-    l_dis = 0.0
-    if enc_prev is not None:
-        current = BatchEmbeddings(z=z, labels=labels, tau=temps.distill_current)
-        past = BatchEmbeddings(
-            z=enc_prev.forward(points), labels=labels, tau=temps.distill_past
-        )
-        l_dis = empirical_distillation(current, past)
-    return l_con, l_dis
+    def __post_init__(self):
+        if min(self.contrastive, self.distill_current, self.distill_past) <= 0:
+            raise ValueError("temperatures must be positive")
 
 
 def grad_total(
@@ -230,34 +190,21 @@ def grad_total(
 
     Returns (contrastive loss, distillation loss, flat gradient); with
     ``divide`` both losses and the gradient are scaled by 1/2N for
-    step-size conditioning.
+    step-size conditioning. The distillation loss is reported whenever a
+    previous encoder is given; its gradient enters only for lam > 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]
     z, cache = enc_t._forward_cached(points)
-    sims = z @ z.T
-    off = ~np.eye(n, dtype=bool)
-
-    g_sim = _supcon_sim_grad(sims, labels, temps.contrastive)
-    l_con = empirical_contrastive(
-        BatchEmbeddings(z=z, labels=labels, tau=temps.contrastive)
-    )
+    l_con, g_sim = supcon_terms(z, labels, temps.contrastive)
     l_dis = 0.0
-    if enc_prev is not None and lam > 0:
-        z_prev = enc_prev.forward(points)
-        sims_prev = z_prev @ z_prev.T
-        scaled = sims_prev / temps.distill_past
-        m = np.where(off, scaled, -np.inf).max(axis=1)
-        ex = np.exp(scaled - m[:, None], where=off, out=np.zeros_like(scaled))
-        q = (ex / ex.sum(axis=1, keepdims=True))[off].reshape(n, n - 1)
-        g_sim = g_sim + lam * _ird_sim_grad(sims, q, temps.distill_current)
-        l_dis = empirical_distillation(
-            BatchEmbeddings(z=z, labels=labels, tau=temps.distill_current),
-            BatchEmbeddings(z=z_prev, labels=labels, tau=temps.distill_past),
+    if enc_prev is not None:
+        l_dis, g_dis = ird_terms(
+            z, enc_prev.forward(points), temps.distill_current, temps.distill_past
         )
-    elif enc_prev is not None:
-        _, l_dis = batch_losses(enc_t, enc_prev, points, labels, temps)
+        if lam > 0:
+            g_sim = g_sim + lam * g_dis
 
     d_z = (g_sim + g_sim.T) @ z
     grad = enc_t._backward(cache, d_z)
@@ -277,7 +224,7 @@ def sgd_step(
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient component; training aborted")
     velocity = cfg.momentum * velocity + grad
-    enc.set_params(enc.get_params() - cfg.lr * velocity)
+    enc.params -= cfg.lr * velocity
     return velocity
 
 
@@ -332,12 +279,11 @@ def save_checkpoint(
     """Versioned little-endian binary: magic, layer count, dims, f64
     parameter stream; plus a JSON sidecar manifest at <path>.json."""
     path = Path(path)
-    params = enc.get_params()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(enc.dims)))
         fh.write(struct.pack(f"<{len(enc.dims)}I", *enc.dims))
-        fh.write(params.astype("<f8").tobytes())
+        fh.write(enc.params.astype("<f8").tobytes())
     temps = temps or Temperatures()
     manifest = {
         "version": CHECKPOINT_VERSION,
@@ -358,17 +304,37 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not exactly magic, layer count, dims and the f64
+    parameters those dims call for, or whose sidecar disagrees with it,
+    raises ValueError; nothing is allocated from the header before the
+    file length confirms it.
+    """
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
+    if len(blob) < 8:
+        raise ValueError("checkpoint truncated inside its header")
     (n_layers,) = struct.unpack_from("<I", blob, 4)
-    dims = struct.unpack_from(f"<{n_layers}I", blob, 8)
-    manifest = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    enc = Encoder(dims, activation=manifest.get("activation", "tanh"), seed=0)
     offset = 8 + 4 * n_layers
-    params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
-    enc.set_params(params)
+    if len(blob) < offset:
+        raise ValueError(f"checkpoint truncated inside its {n_layers} layer widths")
+    dims = struct.unpack_from(f"<{n_layers}I", blob, 8)
+    expected = 8 * _param_count(dims)
+    if len(blob) - offset != expected:
+        raise ValueError(
+            f"checkpoint holds {len(blob) - offset} parameter bytes, "
+            f"dims {list(dims)} need {expected}"
+        )
+    manifest = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    if not isinstance(manifest, dict) or (
+        manifest.get("version"), manifest.get("dims")
+    ) != (CHECKPOINT_VERSION, list(dims)):
+        raise ValueError("checkpoint sidecar disagrees with the binary's version or dims")
+    enc = Encoder(dims, activation=manifest.get("activation", "tanh"))
+    enc.params[...] = np.frombuffer(blob, dtype="<f8", offset=offset)
     return enc, manifest
 
 
@@ -388,7 +354,7 @@ def fit_encoder_to_distribution(
     rng = np.random.default_rng(seed)
     enc = Encoder((dist.dimension, hidden, dim), seed=seed)
     cfg = SgdConfig(lr=lr, epochs=1, batch_size=batch, momentum=0.9, seed=seed)
-    velocity = np.zeros(enc.get_params().size)
+    velocity = np.zeros(enc.n_params)
     temps = Temperatures()
     for _ in range(steps):
         idx = rng.choice(dist.size, size=min(batch, dist.size), p=dist.mass)

@@ -78,13 +78,13 @@ class TestConstants:
 class TestGamma:
     def test_min_and_max_forms(self):
         w = MixtureWeights(task_index=3, weights=np.array([0.25, 0.75]))
-        prof = gamma(3, 2.0, w)
+        g, gp = gamma(3, 2.0, w)
         # scaled weights are (0.5, 1.5); min(1/3, 0.5) and max(1, 1.5)
-        assert prof.gamma == pytest.approx(1.0 / 3.0)
-        assert prof.gamma_prime == pytest.approx(1.5)
-        prof_small = gamma(3, 0.1, w)
-        assert prof_small.gamma == pytest.approx(0.025)
-        assert prof_small.gamma_prime == pytest.approx(1.0)
+        assert g == pytest.approx(1.0 / 3.0)
+        assert gp == pytest.approx(1.5)
+        g_small, gp_small = gamma(3, 0.1, w)
+        assert g_small == pytest.approx(0.025)
+        assert gp_small == pytest.approx(1.0)
 
     def test_task_index_checked(self):
         w = MixtureWeights(task_index=3, weights=np.array([0.5, 0.5]))

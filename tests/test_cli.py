@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cclab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VIOLATION, main
+from cclab.trainer import Encoder, save_checkpoint
 
 
 def write_config(tmp_path, name, doc):
@@ -60,6 +61,9 @@ class TestConfigHandling:
         ("train", {"lr": -1}),
         ("train", {"tasks": 0}),
         ("sweep", dict(SMALL_TRAIN, momentum=1.5)),
+        ("train", {"mode": "bogus"}),
+        ("train", {"kappa": 0}),
+        ("train", {"tau_distill_past": 0}),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -117,6 +121,29 @@ class TestProbe:
         lines = (out / "probe.csv").read_text().splitlines()
         assert lines[0] == "task,accuracy"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "trailing-bytes", "bad-magic", "non-json-sidecar",
+    ])
+    def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 32, 8), seed=0), ckpt)
+        blob = ckpt.read_bytes()
+        if damage == "truncated":
+            ckpt.write_bytes(blob[:30])
+        elif damage == "trailing-bytes":
+            ckpt.write_bytes(blob + b"\x00" * 3)
+        elif damage == "bad-magic":
+            ckpt.write_bytes(b"XXXX" + blob[4:])
+        else:
+            (tmp_path / "model.ckpt.json").write_text("{not json")
+        cfg = write_config(tmp_path, "p.json", dict(SMALL_TRAIN, checkpoint=str(ckpt)))
+        capsys.readouterr()
+        code = main(["probe", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert "Traceback" not in err
+        assert err.startswith("I/O error: corrupt checkpoint ") and err.count("\n") == 1
 
     def test_probe_from_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", SMALL_TRAIN)

@@ -13,7 +13,6 @@ from cclab.continual import (
     class_balanced_batches,
     linear_probe,
     population_bound_check,
-    reservoir_insert,
     run_sequence,
 )
 from cclab.core import ConstantModel, TaskDistribution
@@ -28,7 +27,7 @@ class TestReplayBuffer:
             buf.insert(np.array([float(i), 0.0]), i, 1)
         assert len(buf) == 3
         for i in range(10):
-            reservoir_insert(buf, np.array([float(i), 1.0]), i, 2)
+            buf.insert(np.array([float(i), 1.0]), i, 2)
         assert len(buf) == 5
         assert buf.stream_count == 13
 

@@ -17,10 +17,10 @@ from cclab.core import (
 from cclab.losses import (
     BatchEmbeddings,
     _anchor_tables,
+    _masked_softmax,
     decomposition_residual,
     empirical_contrastive,
     empirical_distillation,
-    instance_log_softmax,
     logistic_link,
     population_contrastive,
     population_distillation,
@@ -284,9 +284,15 @@ class TestEmpiricalDistillation:
         with pytest.raises(ValueError):
             empirical_distillation(a, b)
 
-    def test_instance_log_softmax_normalized(self):
+
+class TestMaskedSoftmax:
+    def test_rows_normalized_with_zero_diagonal(self):
         rng = np.random.default_rng(19)
-        z, labels = random_batch(rng)
-        rows = instance_log_softmax(BatchEmbeddings(z=z, labels=labels, tau=0.3))
-        assert rows.shape == (8, 7)
-        np.testing.assert_allclose(np.exp(rows).sum(axis=1), 1.0, atol=1e-12)
+        z, _ = random_batch(rng)
+        logits = (z @ z.T) / 0.3
+        lse, p = _masked_softmax(logits)
+        assert p.shape == (8, 8)
+        np.testing.assert_array_equal(np.diag(p), 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        off = ~np.eye(8, dtype=bool)
+        np.testing.assert_allclose(np.exp(logits - lse[:, None])[off], p[off], atol=1e-12)

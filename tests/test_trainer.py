@@ -1,15 +1,17 @@
 """Encoder forward/backward correctness, optimization behavior, and
 checkpoint persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cclab.core import NORM_TOL
+from cclab.losses import BatchEmbeddings, empirical_contrastive, empirical_distillation
 from cclab.trainer import (
     Encoder,
     SgdConfig,
     Temperatures,
-    batch_losses,
     finite_diff_check,
     grad_total,
     load_checkpoint,
@@ -42,6 +44,14 @@ class TestEncoder:
         enc = Encoder((3, 5, 4))
         with pytest.raises(ValueError):
             enc.set_params(np.zeros(enc.n_params + 1))
+
+    def test_layers_are_views_of_params(self):
+        enc = Encoder((3, 5, 4), seed=1)
+        for arr in enc.weights + enc.biases:
+            assert np.shares_memory(arr, enc.params)
+        enc.set_params(np.arange(enc.n_params, dtype=np.float64))
+        np.testing.assert_array_equal(enc.weights[0].ravel(), np.arange(15))
+        np.testing.assert_array_equal(enc.biases[-1], np.arange(40, 44))
 
     def test_copy_is_independent(self):
         enc = Encoder((2, 4, 3), seed=0)
@@ -100,17 +110,43 @@ class TestGradients:
         assert b[1] == pytest.approx(a[1] / n)
         np.testing.assert_allclose(b[2], a[2] / n, atol=1e-15)
 
-    def test_losses_agree_with_batch_losses(self):
+    def test_losses_agree_with_empirical_losses(self):
         rng = np.random.default_rng(3)
         points, labels = small_batch(rng)
         enc = Encoder((2, 8, 4), seed=0)
         prev = Encoder((2, 8, 4), seed=7)
-        l_con, l_dis, _ = grad_total(
-            enc, prev, points, labels, 1.0, Temperatures(), divide=False
+        temps = Temperatures()
+        l_con, l_dis, _ = grad_total(enc, prev, points, labels, 1.0, temps, divide=False)
+        z, z_prev = enc.forward(points), prev.forward(points)
+        e_con = empirical_contrastive(
+            BatchEmbeddings(z=z, labels=labels, tau=temps.contrastive)
         )
-        e_con, e_dis = batch_losses(enc, prev, points, labels, Temperatures())
+        e_dis = empirical_distillation(
+            BatchEmbeddings(z=z, labels=labels, tau=temps.distill_current),
+            BatchEmbeddings(z=z_prev, labels=labels, tau=temps.distill_past),
+        )
         assert l_con == pytest.approx(e_con, abs=1e-12)
         assert l_dis == pytest.approx(e_dis, abs=1e-12)
+
+    def test_zero_lambda_reports_distillation_without_its_gradient(self):
+        rng = np.random.default_rng(5)
+        points, labels = small_batch(rng)
+        enc = Encoder((2, 8, 4), seed=0)
+        prev = Encoder((2, 8, 4), seed=7)
+        temps = Temperatures()
+        l_con, l_dis, grad = grad_total(enc, prev, points, labels, 0.0, temps)
+        alone_con, alone_dis, alone = grad_total(enc, None, points, labels, 0.0, temps)
+        np.testing.assert_array_equal(grad, alone)
+        assert l_con == alone_con
+        assert alone_dis == 0.0
+        e_dis = empirical_distillation(
+            BatchEmbeddings(z=enc.forward(points), labels=labels,
+                            tau=temps.distill_current),
+            BatchEmbeddings(z=prev.forward(points), labels=labels,
+                            tau=temps.distill_past),
+        )
+        assert l_dis > 0
+        assert l_dis == pytest.approx(e_dis / points.shape[0], abs=1e-12)
 
     def test_descent_reduces_loss(self):
         rng = np.random.default_rng(4)
@@ -166,6 +202,42 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [6, 10, 14, 40, -8, -1])
+    def test_truncated_rejected(self, tmp_path, cut):
+        # (2, 4, 3): 8 header bytes, 12 bytes of dims, then 27 parameters
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 4, 3), seed=0), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated|parameter bytes"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 4, 3), seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="parameter bytes"):
+            load_checkpoint(path)
+
+    def test_dims_header_must_match_payload(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 4, 3), seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (2**20).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="parameter bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [("version", 2), ("dims", [2, 4, 4])])
+    def test_sidecar_must_match_binary(self, tmp_path, field, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 4, 3), seed=0), path)
+        sidecar = tmp_path / "model.ckpt.json"
+        doc = json.loads(sidecar.read_text())
+        doc[field] = value
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="sidecar"):
             load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):
