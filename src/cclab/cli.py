@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +54,35 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None, allowed: dict) -> dict:
-    """Merge a JSON config over defaults, rejecting unknown keys."""
-    cfg = dict(allowed)
+def _check_config(cfg, defaults: dict) -> None:
+    """A config is a JSON object of known keys, each value of its default's
+    type. An int may stand for a float and a bool only for a bool; a value
+    that stands for a float must be finite and fit one."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
+    unknown = set(cfg) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        want = type(defaults[key])
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise ConfigError(f"{key} must be of type {want.__name__}, got {value!r}")
+        if want is float and not abs(value) <= sys.float_info.max:  # NaN too
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def _load_config(path: str | None, defaults: dict) -> dict:
+    """Merge a JSON config over defaults, rejecting unknown keys and values
+    of the wrong type."""
+    cfg = dict(defaults)
     if path:
         try:
             user = json.loads(Path(path).read_text())
         except OSError as exc:
             raise OSError(f"cannot read config: {exc}") from exc
-        unknown = set(user) - set(allowed)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        except ValueError as exc:  # not UTF-8 text or not JSON
+            raise ConfigError(f"config is not JSON: {exc}") from exc
+        _check_config(user, defaults)
         cfg.update(user)
     return cfg
 
@@ -143,28 +162,26 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-TRAIN_DEFAULTS = {
-    "tasks": 3,
-    "classes_per_task": 2,
-    "points_per_class": 20,
-    "d_in": 2,
-    "data_seed": 0,
-    "seed": 0,
-    "hidden": 32,
-    "embed_dim": 8,
-    "lr": 0.05,
-    "epochs": 60,
-    "batch_size": 32,
-    "momentum": 0.9,
-    "mode": "max",
-    "lam0": 1.0,
-    "kappa": 1.0,
-    "buffer_size": 50,
-    "probe_epochs": 100,
-    "tau_contrastive": 0.5,
-    "tau_distill_current": 0.2,
-    "tau_distill_past": 0.01,
+# The train/probe/sweep keys are the data shape plus a field of RunConfig or
+# SgdConfig under its own name, or of Temperatures as tau_<field>, with that
+# field's default. Not keys: RunConfig's nested sgd and temps, the Theorem 2
+# threshold u_t and step delta_t (no command sets them), and SgdConfig.seed,
+# which follows the run seed.
+DATA_DEFAULTS = {
+    "tasks": 3, "classes_per_task": 2, "points_per_class": 20, "d_in": 2, "data_seed": 0,
 }
+_SECTIONS = (
+    (RunConfig, "", ("sgd", "temps", "u_t", "delta_t")),
+    (SgdConfig, "", ("seed",)),
+    (Temperatures, "tau_", ()),
+)
+TRAIN_FIELDS = {
+    prefix + f.name: (cls, f)
+    for cls, prefix, skip in _SECTIONS
+    for f in fields(cls)
+    if f.name not in skip
+}
+RUN_DEFAULTS = dict(DATA_DEFAULTS, **{k: f.default for k, (_, f) in TRAIN_FIELDS.items()})
 
 
 def _run_from_config(cfg: dict):
@@ -175,21 +192,13 @@ def _run_from_config(cfg: dict):
             cfg["tasks"], cfg["classes_per_task"], cfg["points_per_class"],
             cfg["d_in"], seed=cfg["data_seed"],
         )
+        args = {cls: {} for cls, _, _ in _SECTIONS}
+        for key, (cls, f) in TRAIN_FIELDS.items():
+            args[cls][f.name] = cfg[key]
         run_cfg = RunConfig(
-            hidden=cfg["hidden"],
-            embed_dim=cfg["embed_dim"],
-            sgd=SgdConfig(
-                lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                momentum=cfg["momentum"], seed=cfg["seed"],
-            ),
-            temps=Temperatures(
-                contrastive=cfg["tau_contrastive"],
-                distill_current=cfg["tau_distill_current"],
-                distill_past=cfg["tau_distill_past"],
-            ),
-            mode=cfg["mode"], lam0=cfg["lam0"], kappa=cfg["kappa"],
-            buffer_size=cfg["buffer_size"], seed=cfg["seed"],
-            probe_epochs=cfg["probe_epochs"],
+            sgd=SgdConfig(seed=cfg["seed"], **args[SgdConfig]),
+            temps=Temperatures(**args[Temperatures]),
+            **args[RunConfig],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -229,8 +238,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-PROBE_DEFAULTS = dict(TRAIN_DEFAULTS)
-PROBE_DEFAULTS["checkpoint"] = ""
+PROBE_DEFAULTS = dict(RUN_DEFAULTS, checkpoint="")
 
 
 def cmd_probe(cfg: dict, out: Path) -> int:
@@ -240,6 +248,10 @@ def cmd_probe(cfg: dict, out: Path) -> int:
             enc, _ = load_checkpoint(cfg["checkpoint"])
         except ValueError as exc:
             raise OSError(f"corrupt checkpoint {cfg['checkpoint']}: {exc}") from exc
+        if enc.dims[0] != cfg["d_in"]:
+            raise ConfigError(
+                f"checkpoint input width {enc.dims[0]} does not match d_in {cfg['d_in']}"
+            )
         buffer = run_sequence(tasks, run_cfg).buffer  # rebuild buffer state
     else:
         result = run_sequence(tasks, run_cfg)
@@ -314,42 +326,38 @@ def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
     return EXIT_OK
 
 
-SWEEP_DEFAULTS = dict(TRAIN_DEFAULTS)
-SWEEP_DEFAULTS.update({"vary": "mode", "values": ["fixed", "max"], "seeds": [0, 1]})
+SWEEP_DEFAULTS = dict(RUN_DEFAULTS, vary="mode", values=["fixed", "max"], seeds=[0, 1])
 
 
-def _sweep_cell(args):
-    cfg, vary, value, seed = args
-    cell = dict(cfg)
-    cell[vary] = value
-    cell["seed"] = seed
+def _sweep_cell(cell: dict) -> float:
     tasks, run_cfg = _run_from_config(cell)
     result = run_sequence(tasks, run_cfg)
-    probe = _probe_run(tasks, run_cfg, result.encoder, result.buffer)
-    return value, seed, probe.average_accuracy
+    return _probe_run(tasks, run_cfg, result.encoder, result.buffer).average_accuracy
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     vary, values, seeds = cfg["vary"], cfg["values"], cfg["seeds"]
-    if vary not in ("lam0", "kappa", "mode", "seed"):
+    if vary not in ("lam0", "kappa", "mode"):  # the seeds list varies the seed
         raise ConfigError(f"cannot vary {vary!r}")
     base = {k: v for k, v in cfg.items() if k not in ("vary", "values", "seeds")}
-    _run_from_config(base)  # a bad shared value fails here, not in every cell
-    jobs = [(base, vary, v, s) for v in values for s in seeds]
+    cells = [dict(base, **{vary: v, "seed": s}) for v in values for s in seeds]
+    for cell in [base] + cells:  # a bad value fails here, not in a worker
+        _check_config(cell, RUN_DEFAULTS)
+        _run_from_config(cell)
     workers = int(os.environ.get("CCL_THREADS", "0")) or None
     results, errors = [], []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for job, res in zip(jobs, pool.map(_sweep_cell_safe, jobs)):
+        for cell, res in zip(cells, pool.map(_sweep_cell_safe, cells)):
             if isinstance(res, str):
-                errors.append((job[2], job[3], res))
+                errors.append((cell[vary], cell["seed"], res))
             else:
-                results.append(res)
+                results.append((cell[vary], res))
     rows = ["value,mean_accuracy,std_accuracy,n_seeds"]
     for v in values:
-        accs = [a for val, _, a in results if val == v]
+        accs = [a for val, a in results if val == v]
         if accs:
             rows.append(
-                f"{v},{np.mean(accs):.2f},{np.std(accs):.2f},{len(accs)}"
+                f"{v},{float(np.mean(accs))!r},{float(np.std(accs))!r},{len(accs)}"
             )
         else:
             rows.append(f"{v},nan,nan,0")
@@ -364,9 +372,9 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_cell_safe(args):
+def _sweep_cell_safe(cell: dict):
     try:
-        return _sweep_cell(args)
+        return _sweep_cell(cell)
     except Exception as exc:  # recorded per cell, surfaced via exit code
         return f"{type(exc).__name__}: {exc}"
 
@@ -386,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     defaults = {
         "verify": VERIFY_DEFAULTS,
-        "train": TRAIN_DEFAULTS,
+        "train": RUN_DEFAULTS,
         "probe": PROBE_DEFAULTS,
         "bounds": BOUNDS_DEFAULTS,
         "sweep": SWEEP_DEFAULTS,

@@ -11,7 +11,7 @@ bit-reproducible (training is sequential).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,28 +85,52 @@ class LambdaSchedule:
 
     The ratio rule divides accumulated distillation losses by accumulated
     contrastive losses over completed tasks that had a distillation phase
-    (j >= 2); the mode then shapes kappa * ratio.
+    (j >= 2); the mode then shapes kappa * ratio. The theorem2 mode instead
+    follows the threshold scheduler's state, whose ``t`` is the task the
+    state's coefficient applies to; ``train_losses`` holds the training
+    losses of tasks 2..t-1 that its U_t sums.
     """
 
     mode: str = "max"
     lam0: float = 1.0
     kappa: float = 1.0
-    u_t: float = 1.0
-    delta_t: float = 0.1
     sum_dis: float = 0.0
     sum_con: float = 0.0
-    theorem2_lam: float | None = None
+    theorem2: ScheduleState | None = None
+    train_losses: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         if self.mode not in LAMBDA_MODES:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.lam0 < 0 or self.kappa <= 0:
             raise ValueError("lam0 must be >= 0 and kappa > 0")
+        if self.mode == "theorem2" and self.theorem2 is None:
+            raise ValueError("the theorem2 mode needs a threshold-scheduler state")
 
-    def record_task(self, l_con: float, l_dis: float) -> None:
-        """Accumulate a completed distillation-phase task's final losses."""
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> LambdaSchedule:
+        """A fresh schedule for a run; the scheduler state checks u_t and
+        delta_t whatever the mode."""
+        state = ScheduleState(t=2, lam=cfg.lam0, u_t=cfg.u_t, delta_t=cfg.delta_t)
+        return cls(mode=cfg.mode, lam0=cfg.lam0, kappa=cfg.kappa, theorem2=state)
+
+    def record_task(
+        self, l_con: float, l_dis: float, buffer: ReplayBuffer | None = None
+    ) -> None:
+        """Accumulate a completed distillation-phase task's final losses.
+
+        In the theorem2 mode, also take the Theorem 2 step: U_t sums the
+        training losses of tasks 2..t, weighted by the buffer's task shares.
+        """
         self.sum_con += l_con
         self.sum_dis += l_dis
+        if self.mode == "theorem2":
+            state = self.theorem2
+            self.train_losses.append(l_con + state.lam * l_dis)
+            weights = [buffer.task_shares(j) for j in range(2, state.t + 1)]
+            self.theorem2 = theorem2_step(
+                state, compute_U(self.train_losses, weights, state.lam)
+            )
 
 
 def adaptive_lambda(schedule: LambdaSchedule, t: int) -> float:
@@ -120,7 +144,7 @@ def adaptive_lambda(schedule: LambdaSchedule, t: int) -> float:
     if schedule.mode == "fixed":
         return schedule.lam0
     if schedule.mode == "theorem2":
-        return schedule.theorem2_lam if schedule.theorem2_lam is not None else schedule.lam0
+        return schedule.theorem2.lam
     if t == 2:
         return schedule.lam0
     if schedule.sum_con <= 0:
@@ -150,7 +174,7 @@ def augment(points: np.ndarray, rng: np.random.Generator,
 
 @dataclass
 class RunConfig:
-    """Everything a training run needs; echoed into the trace manifest."""
+    """Everything a training run needs; recorded whole in its trace."""
 
     hidden: int = 32
     embed_dim: int = 8
@@ -161,36 +185,13 @@ class RunConfig:
     kappa: float = 1.0
     buffer_size: int = 50
     seed: int = 0
-    divide: bool = True
     u_t: float = 1.0
     delta_t: float = 0.1
     probe_epochs: int = 100
 
     def __post_init__(self):
-        # the schedule's own checks, so a bad mode, lam0 or kappa fails here
-        LambdaSchedule(mode=self.mode, lam0=self.lam0, kappa=self.kappa)
-
-    def manifest(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "embed_dim": self.embed_dim,
-            "lr": self.sgd.lr,
-            "epochs": self.sgd.epochs,
-            "batch_size": self.sgd.batch_size,
-            "momentum": self.sgd.momentum,
-            "mode": self.mode,
-            "lam0": self.lam0,
-            "kappa": self.kappa,
-            "buffer_size": self.buffer_size,
-            "seed": self.seed,
-            "divide": self.divide,
-            "temperatures": {
-                "contrastive": self.temps.contrastive,
-                "distill_current": self.temps.distill_current,
-                "distill_past": self.temps.distill_past,
-            },
-            "probe_epochs": self.probe_epochs,
-        }
+        # the schedule's own checks, so a bad schedule setting fails here
+        LambdaSchedule.from_config(self)
 
 
 @dataclass
@@ -299,7 +300,6 @@ def run_task(
                 vlabs,
                 lam if lam is not None else 0.0,
                 cfg.temps,
-                divide=cfg.divide,
             )
             velocity = sgd_step(enc, grad, velocity, cfg.sgd)
             con_sum += l_con
@@ -309,10 +309,10 @@ def run_task(
         final_dis = dis_sum / max(1, n_batches)
         trace.epoch_rows.append((t, epoch, final_con, final_dis, lam))
 
-    if t >= 2:
-        schedule.record_task(final_con, final_dis)
     for p, c in zip(train.points, train.labels):
         buffer.insert(p, int(c), t)
+    if t >= 2:
+        schedule.record_task(final_con, final_dis, buffer)
     trace.records.append(
         TaskRecord(
             task=t,
@@ -341,40 +341,21 @@ def run_sequence(tasks: list[TaskData], cfg: RunConfig) -> RunResult:
     if not tasks:
         raise ValueError("need at least one task")
     ss = np.random.SeedSequence(cfg.seed)
-    children = ss.spawn(4)
+    batching, augmenting, buffering = ss.spawn(3)
     rngs = {
-        "batching": np.random.default_rng(children[0]),
-        "augment": np.random.default_rng(children[1]),
-        "buffer": children[2],
-        "probe": np.random.default_rng(children[3]),
+        "batching": np.random.default_rng(batching),
+        "augment": np.random.default_rng(augmenting),
     }
     buffer = ReplayBuffer(
-        capacity=cfg.buffer_size, seed=int(children[2].generate_state(1)[0])
+        capacity=cfg.buffer_size, seed=int(buffering.generate_state(1)[0])
     )
-    schedule = LambdaSchedule(
-        mode=cfg.mode, lam0=cfg.lam0, kappa=cfg.kappa,
-        u_t=cfg.u_t, delta_t=cfg.delta_t,
-    )
-    if cfg.mode == "theorem2":
-        schedule.theorem2_lam = cfg.lam0
-    trace = ExperimentTrace(config=cfg.manifest())
+    schedule = LambdaSchedule.from_config(cfg)
+    trace = ExperimentTrace(config=asdict(cfg))
     enc = None
     task_models: list[Encoder] = []
-    train_losses: list[float] = []
     for t, task in enumerate(tasks, start=1):
         enc = run_task(enc, task, t, buffer, schedule, cfg, rngs, trace)
         task_models.append(enc.copy())
-        rec = trace.records[-1]
-        train_losses.append(rec.l_con + (rec.lam or 0.0) * rec.l_dis)
-        if cfg.mode == "theorem2" and t >= 2:
-            state = ScheduleState(
-                t=t, lam=schedule.theorem2_lam, u_t=cfg.u_t, delta_t=cfg.delta_t
-            )
-            weights = [
-                buffer.task_shares(j) for j in range(2, t + 1)
-            ]
-            u_val = compute_U(train_losses[1:], weights, state.lam)
-            schedule.theorem2_lam = theorem2_step(state, u_val).lam
     return RunResult(encoder=enc, task_models=task_models, trace=trace, buffer=buffer)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class SgdConfig:
     lr: float = 0.05
-    epochs: int = 200
+    epochs: int = 60
     batch_size: int = 32
     momentum: float = 0.9
     seed: int = 0
@@ -284,18 +284,13 @@ def save_checkpoint(
         fh.write(struct.pack("<I", len(enc.dims)))
         fh.write(struct.pack(f"<{len(enc.dims)}I", *enc.dims))
         fh.write(enc.params.astype("<f8").tobytes())
-    temps = temps or Temperatures()
     manifest = {
         "version": CHECKPOINT_VERSION,
         "dims": list(enc.dims),
         "seed": seed,
         "task": task,
         "lambda": lam,
-        "temperatures": {
-            "contrastive": temps.contrastive,
-            "distill_current": temps.distill_current,
-            "distill_past": temps.distill_past,
-        },
+        "temperatures": asdict(temps or Temperatures()),
         "activation": enc.activation,
     }
     path.with_suffix(path.suffix + ".json").write_text(

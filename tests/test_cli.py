@@ -1,16 +1,19 @@
 """Command-line surface: exit codes, output files, reproducibility."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from cclab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VIOLATION, main
-from cclab.trainer import Encoder, save_checkpoint
+from cclab.continual import RunConfig
+from cclab.trainer import Encoder, SgdConfig, Temperatures, save_checkpoint
 
 
 def write_config(tmp_path, name, doc):
+    """Write ``doc`` as JSON, or verbatim if it is already a string."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(p)
 
 
@@ -64,6 +67,19 @@ class TestConfigHandling:
         ("train", {"mode": "bogus"}),
         ("train", {"kappa": 0}),
         ("train", {"tau_distill_past": 0}),
+        ("train", {"epochs": "many"}),
+        ("train", {"tasks": 2.5}),
+        ("train", {"lam0": None}),
+        ("train", "{not json"),
+        ("train", "5"),
+        ("train", "null"),
+        ("train", "[[1]]"),
+        ("verify", {"trials": True}),
+        ("bounds", {"rho": float("nan")}),
+        ("train", {"lam0": 10**400}),
+        ("probe", {"checkpoint": 0}),
+        ("sweep", dict(SMALL_TRAIN, vary="lam0", values=["x"])),
+        ("sweep", dict(SMALL_TRAIN, vary="lam0", values=[-1.0])),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -72,6 +88,28 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "Traceback" not in err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    def test_train_defaults_are_the_dataclass_defaults(self, tmp_path):
+        # every train key but the data shape names one field: RunConfig's and
+        # SgdConfig's under their own names, Temperatures' as tau_<field>
+        out = tmp_path / "o"
+        assert main(["train", "--out", str(out)]) == EXIT_OK
+        cli_defaults = json.loads((out / "manifest.json").read_text())["config"]
+        sections = [
+            {f.name: f.default for f in fields(RunConfig)
+             if f.name not in ("sgd", "temps", "u_t", "delta_t")},
+            {f.name: f.default for f in fields(SgdConfig) if f.name != "seed"},
+            {"tau_" + f.name: f.default for f in fields(Temperatures)},
+        ]
+        data_keys = {"tasks", "classes_per_task", "points_per_class", "d_in", "data_seed"}
+        for key, value in cli_defaults.items():
+            owners = [s for s in sections if key in s]
+            if key in data_keys:
+                assert owners == []
+            else:
+                assert len(owners) == 1, key
+                assert value == owners[0][key], key
+        assert set(cli_defaults) == data_keys.union(*sections)
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "o"
@@ -156,6 +194,16 @@ class TestProbe:
         out = tmp_path / "p"
         assert main(["probe", "--config", pcfg, "--out", str(out)]) == EXIT_OK
 
+    def test_input_width_mismatch_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((3, 32, 8), seed=0), ckpt)
+        cfg = write_config(tmp_path, "p.json", dict(SMALL_TRAIN, checkpoint=str(ckpt)))
+        code = main(["probe", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
 
 class TestBounds:
     def test_outputs_and_monotone(self, tmp_path):
@@ -193,8 +241,10 @@ class TestSweep:
         assert not (out / "sweep_errors.json").exists()
 
     def test_invalid_vary_key(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "s.json", dict(SMALL_TRAIN, vary="epochs")
-        )
-        assert main(["sweep", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        # the seed is varied by the seeds list, never by vary
+        for vary in ("epochs", "seed"):
+            cfg = write_config(
+                tmp_path, "s.json", dict(SMALL_TRAIN, vary=vary, values=[0, 1])
+            )
+            assert main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == EXIT_CONFIG

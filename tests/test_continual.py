@@ -1,6 +1,8 @@
 """Replay buffer statistics, the adaptive-coefficient rules, the task
 loop, and linear probing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,12 @@ class TestLambdaSchedule:
             adaptive_lambda(s, 1)
         with pytest.raises(ValueError):
             adaptive_lambda(s, 3)  # empty sums
+        # the Theorem 2 settings fail when the run is configured, not after
+        # the second task has trained
+        with pytest.raises(ValueError):
+            RunConfig(mode="theorem2", u_t=0)
+        with pytest.raises(ValueError):
+            RunConfig(mode="theorem2", delta_t=-1)
 
 
 class TestAugment:
@@ -163,6 +171,9 @@ class TestRunSequence:
         res = run_sequence(tasks, tiny_config(mode="theorem2", u_t=0.5, delta_t=0.25))
         lams = [r.lam for r in res.trace.records[1:]]
         assert all(l >= 1.0 for l in lams)
+        # the trace carries the settings that explain its coefficients
+        config = json.loads(res.trace.to_json())["config"]
+        assert (config["u_t"], config["delta_t"]) == (0.5, 0.25)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,13 @@
 checkpoint persistence."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.core import NORM_TOL
 from cclab.losses import BatchEmbeddings, empirical_contrastive, empirical_distillation
@@ -239,6 +243,37 @@ class TestCheckpoints:
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="sidecar"):
             load_checkpoint(path)
+
+    @given(
+        target=st.sampled_from(["model.ckpt", "model.ckpt.json"]),
+        damage=st.sampled_from(["truncate", "flip", "append"]),
+        where=st.integers(min_value=0, max_value=2**16),
+        mask=st.integers(min_value=1, max_value=255),
+        tail=st.binary(min_size=1, max_size=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_checkpoint_loads_or_raises_value_error(
+        self, target, damage, where, mask, tail
+    ):
+        # any other exception (struct.error, IndexError, MemoryError, ...)
+        # escapes and fails the test
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(Encoder((2, 4, 3), seed=0), path)
+            victim = Path(tmp) / target
+            blob = bytearray(victim.read_bytes())
+            at = where % len(blob)
+            if damage == "truncate":
+                del blob[at:]
+            elif damage == "flip":
+                blob[at] ^= mask
+            else:
+                blob += tail
+            victim.write_bytes(bytes(blob))
+            try:
+                load_checkpoint(path)
+            except ValueError:
+                pass
 
     def test_save_is_deterministic(self, tmp_path):
         enc = Encoder((2, 4, 3), seed=0)
