@@ -15,10 +15,8 @@ from .core import (
     random_table_model,
 )
 from .losses import (
-    BatchEmbeddings,
+    batch_terms,
     decomposition_residual,
-    empirical_contrastive,
-    empirical_distillation,
     logistic_link,
     population_contrastive,
     population_distillation,

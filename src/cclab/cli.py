@@ -110,7 +110,20 @@ VERIFY_DEFAULTS = {
 }
 
 
+# the least value of each integer verify key; ks holds ints >= 1
+VERIFY_MINIMA = {
+    "trials": 1, "support_size": 1, "dimension": 1, "embed_dim": 1, "grad_seeds": 0,
+    "seed": 0,
+}
+
+
 def cmd_verify(cfg: dict, out: Path) -> int:
+    ks = cfg["ks"]
+    if not ks or not all(type(k) is int and k >= 1 for k in ks):
+        raise ConfigError(f"ks must be a non-empty list of ints >= 1, got {ks!r}")
+    for key, least in VERIFY_MINIMA.items():
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be >= {least}, got {cfg[key]!r}")
     report = {"constants": {}, "lemma1": {}, "decomposition": {}, "gradients": {}}
     failures = []
     for k in cfg["ks"]:

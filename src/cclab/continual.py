@@ -166,9 +166,9 @@ def augment(points: np.ndarray, rng: np.random.Generator,
     if points.shape[1] == 2:
         theta = rng.uniform(-1.0, 1.0, size=points.shape[0]) * np.deg2rad(max_angle_deg)
         c, s = np.cos(theta), np.sin(theta)
-        out = np.stack(
-            [c * out[:, 0] - s * out[:, 1], s * out[:, 0] + c * out[:, 1]], axis=1
-        )
+        x = c * out[:, 0] - s * out[:, 1]
+        out[:, 1] = s * out[:, 0] + c * out[:, 1]
+        out[:, 0] = x
     return out
 
 
@@ -413,17 +413,16 @@ def class_balanced_batches(
     labels: np.ndarray, batch_size: int, n_batches: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Minibatch indices drawn by the two-step rule: a uniform class first,
-    then a uniform instance within it."""
-    classes = np.unique(labels)
-    per_class = {int(c): np.flatnonzero(labels == c) for c in classes}
+    then a uniform instance within it. One bounded draw with per-element
+    ranges takes a batch's within-class offsets; it consumes the generator
+    exactly as one scalar draw per instance does."""
+    _, sizes = np.unique(labels, return_counts=True)
+    by_class = np.argsort(labels, kind="stable")  # class by class, in index order
+    starts = np.cumsum(sizes) - sizes
     batches = []
     for _ in range(n_batches):
-        cs = rng.integers(0, classes.size, size=batch_size)
-        idx = np.array(
-            [per_class[int(classes[c])][rng.integers(0, per_class[int(classes[c])].size)]
-             for c in cs]
-        )
-        batches.append(idx)
+        cs = rng.integers(0, sizes.size, size=batch_size)
+        batches.append(by_class[starts[cs] + rng.integers(0, sizes[cs])])
     return batches
 
 
@@ -461,16 +460,17 @@ def linear_probe(
     present = np.unique(labels)
     missing = sorted(set(range(n_classes)) - set(int(c) for c in present))
     steps_per_epoch = max(1, int(np.ceil(z.shape[0] / batch_size)))
-    for _ in range(epochs):
-        for idx in class_balanced_batches(labels, batch_size, steps_per_epoch, rng):
-            logits = z[idx] @ w + b
-            logits -= logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(idx.size), labels[idx]] -= 1.0
-            p /= idx.size
-            w -= lr * (z[idx].T @ p)
-            b -= lr * p.sum(axis=0)
+    # one draw for every epoch's batches is the stream of one draw per epoch
+    for idx in class_balanced_batches(labels, batch_size, epochs * steps_per_epoch, rng):
+        zb = z[idx]
+        logits = zb @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(idx.size), labels[idx]] -= 1.0
+        p /= idx.size
+        w -= lr * (zb.T @ p)
+        b -= lr * p.sum(axis=0)
     accs = []
     for dist in test_tasks:
         zt = embed_fn(dist.points)

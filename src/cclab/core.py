@@ -42,13 +42,11 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise :func:`normalize` for an (n, d) matrix."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
-    out = np.empty_like(m)
     small = norms < NORM_TOL
-    out[~small] = m[~small] / norms[~small, None]
-    if np.any(small):
-        e = np.zeros(m.shape[1])
-        e[0] = 1.0
-        out[small] = e
+    if not small.any():
+        return m / norms[:, None]
+    out = m / np.where(small, 1.0, norms)[:, None]
+    out[small] = np.eye(1, m.shape[1])  # the first basis vector
     return out
 
 

@@ -4,8 +4,9 @@ aggregates, the batch-level SupCon and IRD losses used during training,
 and the cross-entropy decomposition identity behind the bound proofs.
 
 The batch losses and their gradients with respect to the similarity
-matrix all come from one masked softmax over the off-diagonal of a
-(2N, 2N) logit matrix, so a training step computes each softmax once.
+matrix all come from one masked softmax over the off-diagonals of the
+stacked (3, 2N, 2N) SupCon, current-IRD and past-IRD logits, so a
+training step computes zz' once and runs one softmax.
 
 Population expectations are computed by exact enumeration over the
 support. Both losses are symmetric in the k negatives, which depend only
@@ -175,85 +176,78 @@ def population_test_loss(
     return float(sum(population_contrastive(f_final, d, k) for d in tasks))
 
 
-@dataclass(frozen=True)
-class BatchEmbeddings:
-    """Unit embeddings of an augmented batch: 2N rows, paired views share labels."""
+@dataclass
+class Temperatures:
+    """Batch-loss temperatures; fixed across tasks, recorded per run."""
 
-    z: np.ndarray  # (2N, d), unit rows
-    labels: np.ndarray  # (2N,)
-    tau: float
+    contrastive: float = 0.5
+    distill_current: float = 0.2
+    distill_past: float = 0.01
 
     def __post_init__(self):
-        z = np.atleast_2d(np.asarray(self.z, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "labels", labels)
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
-        if z.shape[0] != labels.shape[0]:
-            raise ValueError("one label per embedding row required")
+        if min(self.contrastive, self.distill_current, self.distill_past) <= 0:
+            raise ValueError("temperatures must be positive")
 
 
 def _masked_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sum-exp and softmax of (n, n) logits over the off-diagonal.
+    """Row log-sum-exp and softmax of (..., n, n) logits over the
+    off-diagonal of each trailing (n, n) matrix.
 
-    The softmax has a zero diagonal; both are max-shifted per row.
+    The diagonal of a copy is set to -inf, so it drops out of the row max
+    and exp maps it to exactly 0: the softmax has a zero diagonal, and
+    both are max-shifted per row.
     """
-    off = ~np.eye(logits.shape[0], dtype=bool)
-    m = np.where(off, logits, -np.inf).max(axis=1)
-    ex = np.exp(logits - m[:, None], where=off, out=np.zeros_like(logits))
-    sums = ex.sum(axis=1)
-    return m + np.log(sums), ex / sums[:, None]
+    n = logits.shape[-1]
+    ex = logits.copy()
+    ex.reshape(logits.shape[:-2] + (n * n,))[..., :: n + 1] = -np.inf
+    m = ex.max(axis=-1)
+    ex -= m[..., None]
+    np.exp(ex, out=ex)
+    sums = ex.sum(axis=-1)
+    return m + np.log(sums), ex / sums[..., None]
 
 
-def supcon_terms(
-    z: np.ndarray, labels: np.ndarray, tau: float
-) -> tuple[float, np.ndarray]:
-    """SupCon loss of unit rows ``z``, summed over anchors (no 1/2N factor),
-    and its gradient with respect to the similarity matrix zz'.
+def batch_terms(
+    z: np.ndarray,
+    labels: np.ndarray,
+    temps: Temperatures,
+    z_past: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, float, np.ndarray | None]:
+    """Batch SupCon and IRD losses of unit rows ``z``, each summed over
+    anchors (no 1/2N factor), and their gradients with respect to zz':
+    (SupCon loss, its gradient, IRD loss, its gradient).
 
-    Every anchor must have at least one positive, which paired views
-    guarantee; an anchor without positives is an error.
+    SupCon runs at ``temps.contrastive``; every anchor must have a
+    positive, which paired views guarantee. IRD is the cross-entropy from
+    the past rows' similarity softmax at ``temps.distill_past`` to the
+    current rows' at ``temps.distill_current``, with the past fixed; both
+    arrays index the same 2N samples in order. zz' is computed once and
+    one masked softmax runs over the stacked (3, 2N, 2N) logits, or over
+    SupCon's alone without ``z_past``, when the IRD terms are (0.0, None).
     """
     n = z.shape[0]
     if n < 2:
         raise ValueError("need at least two embeddings")
-    pos = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
-    counts = pos.sum(axis=1)
-    if np.any(counts == 0):
-        raise ValueError("anchor with empty positive set")
-    logits = (z @ z.T) / tau
-    lse, p = _masked_softmax(logits)
-    per_anchor = -(np.where(pos, logits - lse[:, None], 0.0).sum(axis=1)) / counts
-    return float(per_anchor.sum()), (p - pos / counts[:, None]) / tau
-
-
-def ird_terms(
-    z: np.ndarray, z_past: np.ndarray, tau: float, tau_past: float
-) -> tuple[float, np.ndarray]:
-    """IRD loss, the cross-entropy from the past rows' instance-similarity
-    softmax at ``tau_past`` to the current rows' at ``tau``, summed over
-    anchors; and its gradient with respect to zz' with the past fixed.
-    Both arrays must index the same 2N samples in order.
-    """
-    if z.shape[0] != z_past.shape[0]:
+    if z_past is not None and z_past.shape[0] != n:
         raise ValueError("batch sizes must match")
-    if z.shape[0] < 2:
-        raise ValueError("need at least two embeddings")
-    logits = (z @ z.T) / tau
+    pos = labels[:, None] == labels[None, :]
+    pos.flat[:: n + 1] = False
+    counts = pos.sum(axis=1)
+    if not counts.all():
+        raise ValueError("anchor with empty positive set")
+    sims = z @ z.T
+    logits = np.empty((1 if z_past is None else 3, n, n))
+    np.divide(sims, temps.contrastive, out=logits[0])
+    if z_past is not None:
+        np.divide(sims, temps.distill_current, out=logits[1])
+        np.divide(z_past @ z_past.T, temps.distill_past, out=logits[2])
     lse, p = _masked_softmax(logits)
-    _, q = _masked_softmax((z_past @ z_past.T) / tau_past)
+    per_anchor = -(np.where(pos, logits[0] - lse[0][:, None], 0.0).sum(axis=1)) / counts
+    l_con = float(per_anchor.sum())
+    g_con = (p[0] - pos / counts[:, None]) / temps.contrastive
+    if z_past is None:
+        return l_con, g_con, 0.0, None
+    q = p[2]
     # q's zero diagonal drops each anchor's self-similarity from the loss
-    return float(-(q * (logits - lse[:, None])).sum()), (p - q) / tau
-
-
-def empirical_contrastive(batch: BatchEmbeddings) -> float:
-    """SupCon loss of the batch, summed over anchors: the loss of
-    :func:`supcon_terms`."""
-    return supcon_terms(batch.z, batch.labels, batch.tau)[0]
-
-
-def empirical_distillation(current: BatchEmbeddings, past: BatchEmbeddings) -> float:
-    """IRD loss between two batches at their own temperatures, summed over
-    anchors: the loss of :func:`ird_terms`."""
-    return ird_terms(current.z, past.z, current.tau, past.tau)[0]
+    l_dis = float(-(q * (logits[1] - lse[1][:, None])).sum())
+    return l_con, g_con, l_dis, (p[1] - q) / temps.distill_current

@@ -4,9 +4,10 @@ finite-difference gradient verification, and checkpoint persistence.
 
 The encoder keeps all of its parameters in one flat vector; the per-layer
 weights and biases are views into it. Gradients are written out by hand:
-the batch losses supply dL/d(zz') from the masked softmax they share with
-the loss values, and the normalization head contributes the Jacobian
-(I - zz')/||z|| per row. Double precision throughout.
+one call to ``losses.batch_terms`` per step supplies both batch losses
+and their dL/d(zz') from one stacked masked softmax, and the
+normalization head contributes the Jacobian (I - zz')/||z|| per row.
+Double precision throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import NORM_TOL, TableModel, normalize_rows
-from .losses import ird_terms, supcon_terms
+from .losses import Temperatures, batch_terms
 
 CHECKPOINT_MAGIC = b"CCL1"
 CHECKPOINT_VERSION = 1
@@ -146,11 +147,14 @@ class Encoder:
         """Gradient of a scalar loss w.r.t. parameters given dL/dZ."""
         acts, raw, z = cache
         norms = np.linalg.norm(raw, axis=1)
-        ok = norms >= NORM_TOL
-        # through z = raw/||raw||: d_raw = (d_z - (d_z.z) z)/||raw||
-        d_raw = np.zeros_like(raw)
-        inner = (d_z * z).sum(axis=1)
-        d_raw[ok] = (d_z[ok] - inner[ok, None] * z[ok]) / norms[ok, None]
+        # through z = raw/||raw||: d_raw = (d_z - (d_z.z) z)/||raw||; rows
+        # that normalize_rows sent to the basis vector pass no gradient
+        d_raw = d_z - (d_z * z).sum(axis=1)[:, None] * z
+        small = norms < NORM_TOL
+        if small.any():
+            d_raw[small] = 0.0
+            norms = np.where(small, 1.0, norms)
+        d_raw /= norms[:, None]
         grad = np.empty_like(self.params)
         grads_w, grads_b = self._layers(grad)
         delta = d_raw
@@ -161,19 +165,6 @@ class Encoder:
             grads_w[layer][...] = acts[layer].T @ delta
             grads_b[layer][...] = delta.sum(axis=0)
         return grad
-
-
-@dataclass
-class Temperatures:
-    """Batch-loss temperatures; fixed across tasks, recorded per run."""
-
-    contrastive: float = 0.5
-    distill_current: float = 0.2
-    distill_past: float = 0.01
-
-    def __post_init__(self):
-        if min(self.contrastive, self.distill_current, self.distill_past) <= 0:
-            raise ValueError("temperatures must be positive")
 
 
 def grad_total(
@@ -197,14 +188,10 @@ def grad_total(
     labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]
     z, cache = enc_t._forward_cached(points)
-    l_con, g_sim = supcon_terms(z, labels, temps.contrastive)
-    l_dis = 0.0
-    if enc_prev is not None:
-        l_dis, g_dis = ird_terms(
-            z, enc_prev.forward(points), temps.distill_current, temps.distill_past
-        )
-        if lam > 0:
-            g_sim = g_sim + lam * g_dis
+    z_past = None if enc_prev is None else enc_prev.forward(points)
+    l_con, g_sim, l_dis, g_dis = batch_terms(z, labels, temps, z_past)
+    if g_dis is not None and lam > 0:
+        g_sim = g_sim + lam * g_dis
 
     d_z = (g_sim + g_sim.T) @ z
     grad = enc_t._backward(cache, d_z)

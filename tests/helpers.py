@@ -104,3 +104,27 @@ def oracle_ird(z_cur, z_past, tau_cur, tau_past):
         q = _softmax([z_past[i] @ z_past[j] / tau_past for j in others])
         total += -sum(qi * math.log(pi) for qi, pi in zip(q, p))
     return total
+
+
+def masked_softmax_reference(logits):
+    """Row log-sum-exp and softmax of one (n, n) logit matrix over its
+    off-diagonal, masked with np.eye/np.where and a zeroed output."""
+    off = ~np.eye(logits.shape[0], dtype=bool)
+    m = np.where(off, logits, -np.inf).max(axis=1)
+    ex = np.exp(logits - m[:, None], where=off, out=np.zeros_like(logits))
+    sums = ex.sum(axis=1)
+    return m + np.log(sums), ex / sums[:, None]
+
+
+def class_balanced_reference(labels, batch_size, n_batches, rng):
+    """The two-step batch rule with one scalar draw per instance: a
+    uniform class, then a uniform index within that class."""
+    classes = np.unique(labels)
+    per_class = [np.flatnonzero(labels == c) for c in classes]
+    batches = []
+    for _ in range(n_batches):
+        cs = rng.integers(0, classes.size, size=batch_size)
+        batches.append(np.array(
+            [per_class[c][rng.integers(0, per_class[c].size)] for c in cs]
+        ))
+    return batches

@@ -34,7 +34,7 @@ from cclab.data import (
     scenario_train_losses,
     scenario_weights,
 )
-from cclab.losses import BatchEmbeddings, empirical_contrastive, empirical_distillation
+from cclab.losses import batch_terms
 from cclab.trainer import Encoder, SgdConfig, Temperatures, finite_diff_check, save_checkpoint
 from tests.helpers import oracle_ird, oracle_supcon
 
@@ -167,6 +167,7 @@ def test_criterion_07_gradient_check():
 
 def test_criterion_08_batch_loss_oracles():
     rng = np.random.default_rng(0)
+    temps = Temperatures(contrastive=0.5, distill_current=0.2, distill_past=0.01)
     for _ in range(50):
         n_pairs = int(rng.integers(2, 6))
         z = rng.standard_normal((2 * n_pairs, 5))
@@ -174,23 +175,15 @@ def test_criterion_08_batch_loss_oracles():
         zp = rng.standard_normal((2 * n_pairs, 5))
         zp /= np.linalg.norm(zp, axis=1, keepdims=True)
         labels = np.repeat(rng.integers(0, 3, size=n_pairs), 2)
-        got_con = empirical_contrastive(
-            BatchEmbeddings(z=z, labels=labels, tau=0.5)
-        )
+        got_con, _, got_dis, _ = batch_terms(z, labels, temps, zp)
         assert abs(got_con - oracle_supcon(z, labels, 0.5)) < 1e-10
-        got_dis = empirical_distillation(
-            BatchEmbeddings(z=z, labels=labels, tau=0.2),
-            BatchEmbeddings(z=zp, labels=labels, tau=0.01),
-        )
         assert abs(got_dis - oracle_ird(z, zp, 0.2, 0.01)) < 1e-10
     # a single augmented pair has no negatives and a one-point softmax
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 0])
-    assert empirical_contrastive(BatchEmbeddings(z=z, labels=labels, tau=0.5)) == 0.0
-    assert empirical_distillation(
-        BatchEmbeddings(z=z, labels=labels, tau=0.2),
-        BatchEmbeddings(z=z[::-1], labels=labels, tau=0.01),
-    ) == 0.0
+    got_con, _, got_dis, _ = batch_terms(z, labels, temps, z[::-1])
+    assert got_con == 0.0
+    assert got_dis == 0.0
 
 
 def ablation_run(mode, seed):

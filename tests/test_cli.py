@@ -34,6 +34,12 @@ class TestVerify:
         assert report["failures"] == []
         assert set(report["constants"]) == {"1", "2", "5"}
 
+    def test_least_accepted_values_run(self, tmp_path):
+        doc = {"trials": 1, "ks": [1, 2], "seed": 0, "support_size": 1,
+               "dimension": 1, "embed_dim": 1, "grad_seeds": 0}
+        cfg = write_config(tmp_path, "v.json", doc)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_sabotaged_constants_fail(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "v.json",
@@ -80,6 +86,16 @@ class TestConfigHandling:
         ("probe", {"checkpoint": 0}),
         ("sweep", dict(SMALL_TRAIN, vary="lam0", values=["x"])),
         ("sweep", dict(SMALL_TRAIN, vary="lam0", values=[-1.0])),
+        ("verify", {"ks": [0]}),
+        ("verify", {"ks": ["a"]}),
+        ("verify", {"ks": [True]}),
+        ("verify", {"ks": []}),
+        ("verify", {"embed_dim": 0, "trials": 2}),
+        ("verify", {"trials": 0}),
+        ("verify", {"support_size": 0}),
+        ("verify", {"dimension": 0}),
+        ("verify", {"grad_seeds": -1}),
+        ("verify", {"seed": -1}),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)

@@ -20,6 +20,7 @@ from cclab.continual import (
 from cclab.core import ConstantModel, TaskDistribution
 from cclab.data import make_blob_sequence
 from cclab.trainer import SgdConfig
+from tests.helpers import class_balanced_reference
 
 
 class TestReplayBuffer:
@@ -216,6 +217,32 @@ class TestClassBalancedBatches:
         batches = class_balanced_batches(labels, 8, 3, rng)
         assert len(batches) == 3
         assert all(b.shape == (8,) for b in batches)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0] * 90 + [1] * 10),
+        np.array([3, 3, 1, 7, 7, 7, 3, 1, 9]),
+        np.repeat([5, 2, 0, 4], [1, 6, 2, 13])[::-1],
+        np.array([4]),
+    ])
+    def test_matches_scalar_reference(self, labels):
+        for seed in range(8):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = class_balanced_batches(labels, 32, 12, fast)
+            want = class_balanced_reference(labels, 32, 12, slow)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+            # the generators are left in the same state
+            assert fast.integers(0, 2**62) == slow.integers(0, 2**62)
+
+    def test_one_call_equals_consecutive_calls(self):
+        labels = np.array([0, 0, 1, 2, 2, 2, 2])
+        one, two = np.random.default_rng(3), np.random.default_rng(3)
+        joined = class_balanced_batches(labels, 5, 11, one)
+        split = (class_balanced_batches(labels, 5, 4, two)
+                 + class_balanced_batches(labels, 5, 7, two))
+        for a, b in zip(joined, split, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestLinearProbe:

@@ -15,12 +15,11 @@ from cclab.core import (
     random_table_model,
 )
 from cclab.losses import (
-    BatchEmbeddings,
+    Temperatures,
     _anchor_tables,
     _masked_softmax,
+    batch_terms,
     decomposition_residual,
-    empirical_contrastive,
-    empirical_distillation,
     logistic_link,
     population_contrastive,
     population_distillation,
@@ -28,6 +27,7 @@ from cclab.losses import (
     population_train_loss,
 )
 from tests.helpers import (
+    masked_softmax_reference,
     oracle_ird,
     oracle_population_contrastive,
     oracle_population_distillation,
@@ -233,56 +233,58 @@ def random_batch(rng, n_pairs=4, d=5):
     return z, labels
 
 
+TEMPS = Temperatures(contrastive=0.5, distill_current=0.2, distill_past=0.01)
+
+
 class TestEmpiricalContrastive:
+    """The batch SupCon loss of :func:`batch_terms`."""
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             z, labels = random_batch(rng)
-            batch = BatchEmbeddings(z=z, labels=labels, tau=0.5)
-            assert empirical_contrastive(batch) == pytest.approx(
+            assert batch_terms(z, labels, TEMPS)[0] == pytest.approx(
                 oracle_supcon(z, labels, 0.5), abs=1e-10
             )
 
     def test_single_pair_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        batch = BatchEmbeddings(z=z, labels=np.array([0, 0]), tau=0.5)
-        assert empirical_contrastive(batch) == 0.0
+        assert batch_terms(z, np.array([0, 0]), TEMPS)[0] == 0.0
 
     def test_anchor_without_positive_rejected(self):
-        z = np.eye(2)
-        batch = BatchEmbeddings(z=z, labels=np.array([0, 1]), tau=0.5)
         with pytest.raises(ValueError):
-            empirical_contrastive(batch)
+            batch_terms(np.eye(2), np.array([0, 1]), TEMPS)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ValueError):
-            BatchEmbeddings(z=np.eye(2), labels=np.array([0, 0]), tau=0.0)
+            Temperatures(contrastive=0.0)
 
 
 class TestEmpiricalDistillation:
+    """The batch IRD loss of :func:`batch_terms`."""
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             z, labels = random_batch(rng)
             zp, _ = random_batch(rng)
-            cur = BatchEmbeddings(z=z, labels=labels, tau=0.2)
-            past = BatchEmbeddings(z=zp, labels=labels, tau=0.01)
-            assert empirical_distillation(cur, past) == pytest.approx(
-                oracle_ird(z, zp, 0.2, 0.01), abs=1e-10
-            )
+            l_con, _, l_dis, _ = batch_terms(z, labels, TEMPS, zp)
+            assert l_dis == pytest.approx(oracle_ird(z, zp, 0.2, 0.01), abs=1e-10)
+            assert l_con == batch_terms(z, labels, TEMPS)[0]
 
     def test_single_pair_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        labels = np.array([0, 0])
-        cur = BatchEmbeddings(z=z, labels=labels, tau=0.2)
-        past = BatchEmbeddings(z=z[::-1], labels=labels, tau=0.01)
-        assert empirical_distillation(cur, past) == 0.0
+        assert batch_terms(z, np.array([0, 0]), TEMPS, z[::-1])[2] == 0.0
 
     def test_size_mismatch_rejected(self):
-        a = BatchEmbeddings(z=np.eye(2), labels=np.array([0, 0]), tau=0.2)
-        b = BatchEmbeddings(z=np.eye(3), labels=np.array([0, 0, 0]), tau=0.2)
         with pytest.raises(ValueError):
-            empirical_distillation(a, b)
+            batch_terms(np.eye(2), np.array([0, 0]), TEMPS, np.eye(3))
+
+    def test_without_past_rows_has_no_distillation(self):
+        rng = np.random.default_rng(23)
+        z, labels = random_batch(rng)
+        _, _, l_dis, g_dis = batch_terms(z, labels, TEMPS)
+        assert l_dis == 0.0 and g_dis is None
 
 
 class TestMaskedSoftmax:
@@ -296,3 +298,17 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         off = ~np.eye(8, dtype=bool)
         np.testing.assert_allclose(np.exp(logits - lse[:, None])[off], p[off], atol=1e-12)
+
+    def test_stack_equals_slices_and_reference_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 8, 17, 64):
+            z = rng.standard_normal((n, 4))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            zp = rng.standard_normal((n, 4))
+            zp /= np.linalg.norm(zp, axis=1, keepdims=True)
+            stack = np.stack([(z @ z.T) / 0.5, (z @ z.T) / 0.2, (zp @ zp.T) / 0.01])
+            lse, p = _masked_softmax(stack)
+            for i in range(3):
+                for got in (_masked_softmax(stack[i]), masked_softmax_reference(stack[i])):
+                    assert got[0].tobytes() == lse[i].tobytes()
+                    assert got[1].tobytes() == p[i].tobytes()

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclab.core import NORM_TOL
-from cclab.losses import BatchEmbeddings, empirical_contrastive, empirical_distillation
 from cclab.trainer import (
     Encoder,
     SgdConfig,
@@ -22,6 +21,7 @@ from cclab.trainer import (
     save_checkpoint,
     sgd_step,
 )
+from tests.helpers import oracle_ird, oracle_supcon
 
 
 def small_batch(rng, n_pairs=4, d_in=2):
@@ -122,13 +122,8 @@ class TestGradients:
         temps = Temperatures()
         l_con, l_dis, _ = grad_total(enc, prev, points, labels, 1.0, temps, divide=False)
         z, z_prev = enc.forward(points), prev.forward(points)
-        e_con = empirical_contrastive(
-            BatchEmbeddings(z=z, labels=labels, tau=temps.contrastive)
-        )
-        e_dis = empirical_distillation(
-            BatchEmbeddings(z=z, labels=labels, tau=temps.distill_current),
-            BatchEmbeddings(z=z_prev, labels=labels, tau=temps.distill_past),
-        )
+        e_con = oracle_supcon(z, labels, temps.contrastive)
+        e_dis = oracle_ird(z, z_prev, temps.distill_current, temps.distill_past)
         assert l_con == pytest.approx(e_con, abs=1e-12)
         assert l_dis == pytest.approx(e_dis, abs=1e-12)
 
@@ -143,12 +138,8 @@ class TestGradients:
         np.testing.assert_array_equal(grad, alone)
         assert l_con == alone_con
         assert alone_dis == 0.0
-        e_dis = empirical_distillation(
-            BatchEmbeddings(z=enc.forward(points), labels=labels,
-                            tau=temps.distill_current),
-            BatchEmbeddings(z=prev.forward(points), labels=labels,
-                            tau=temps.distill_past),
-        )
+        e_dis = oracle_ird(enc.forward(points), prev.forward(points),
+                           temps.distill_current, temps.distill_past)
         assert l_dis > 0
         assert l_dis == pytest.approx(e_dis / points.shape[0], abs=1e-12)
 
