@@ -10,6 +10,7 @@ recovers the single-negative forms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,9 +33,10 @@ class BoundConstants:
     beta_prime: float
 
 
+@functools.lru_cache(maxsize=64)
 def constants(k: int = 1) -> BoundConstants:
     """alpha = 2e^2/(k+e^2), beta = 2 - alpha + alpha*log(alpha/2),
-    beta' = -alpha*log(1+k e^2) - 2k e^2/(1+k e^2)."""
+    beta' = -alpha*log(1+k e^2) - 2k e^2/(1+k e^2). Cached per k."""
     if k < 1:
         raise ValueError("need at least one negative sample")
     alpha = 2.0 * E2 / (k + E2)
@@ -76,14 +78,16 @@ def lemma1_slack(
 
 def gamma(t: int, lam: float, weights: MixtureWeights) -> tuple[float, float]:
     """The training-loss coefficient denominators at task t:
-    (gamma, gamma') = (min({1/t} u {lam * k_tj}), max({1} u {lam * k_tj}))."""
+    (gamma, gamma') = (min({1/t} u {lam * k_tj}), max({1} u {lam * k_tj})).
+
+    For lam >= 0 rounding is monotone, so lam times the smallest (largest)
+    weight is the smallest (largest) rounded product."""
     if t != weights.task_index:
         raise ValueError("weights belong to a different task index")
     if lam < 0:
         raise ValueError("distillation coefficient must be non-negative")
-    scaled = lam * weights.weights
-    g = min(1.0 / t, float(scaled.min()))
-    gp = max(1.0, float(scaled.max()))
+    g = min(1.0 / t, float(lam * weights.lo))
+    gp = max(1.0, float(lam * weights.hi))
     return g, gp
 
 
@@ -384,5 +388,5 @@ def turning_point(weights: list[MixtureWeights]) -> float:
     if not weights:
         raise ValueError("need weights for at least one task")
     return max(
-        1.0 / (w.task_index * float(w.weights.min())) for w in weights
+        1.0 / (w.task_index * w.lo) for w in weights
     )

@@ -190,6 +190,8 @@ class RunConfig:
     probe_epochs: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:  # np.random.SeedSequence takes no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # the schedule's own checks, so a bad schedule setting fails here
         LambdaSchedule.from_config(self)
 

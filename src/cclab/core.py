@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,13 +133,20 @@ class TaskDistribution:
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Convex weights over the previous ``t - 1`` tasks at task ``t``."""
+    """Convex weights over the previous ``t - 1`` tasks at task ``t``.
+
+    ``weights`` is a read-only copy of the given array; ``lo`` and ``hi``
+    are its smallest and largest entry.
+    """
 
     task_index: int
     weights: np.ndarray
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.task_index < 2:
             raise ValueError("mixture weights only exist from the second task on")
@@ -151,6 +158,8 @@ class MixtureWeights:
             raise ValueError("all mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+        object.__setattr__(self, "lo", float(w.min()))
+        object.__setattr__(self, "hi", float(w.max()))
 
 
 def mixture(dists: list[TaskDistribution], w: MixtureWeights) -> TaskDistribution:

@@ -12,9 +12,11 @@ Population expectations are computed by exact enumeration over the
 support. Both losses are symmetric in the k negatives, which depend only
 on the anchor, so the negatives are enumerated as the M = C(n+k-1, k)
 multisets of :func:`core.negative_weights` and folded into per-anchor
-tables; every loss is then evaluated on the (pair, multiset) grid. Cost
-is O(n^2 * M + P * M) per pass, where P is the number of same-class
-ordered pairs, against O(P * n^k) for enumerating ordered tuples.
+tables; every loss is then evaluated on the (pair, multiset) grid, which
+is walked in blocks of consecutive pairs. Time is O(n^2 * M + P * M) per
+pass, where P is the number of same-class ordered pairs, against
+O(P * n^k) for enumerating ordered tuples. Working memory is O(n * M)
+for the tables plus one block of about 2^15 grid entries, not O(P * M).
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class _PopulationTerms(NamedTuple):
     residual: float  # L_dis - L_con(f_t) - E[sum_i q_i(f_prev) v_i(f_t)]
 
 
+# Entries of the (pair, multiset) grid per block: 256 KiB per f8 array,
+# so a block's handful of temporaries stays in L2.
+_BLOCK = 1 << 15
+
+
 def _population_terms(
     f_t: EmbeddingModel,
     dist: TaskDistribution,
@@ -87,35 +94,52 @@ def _population_terms(
       CE    = log(exp(s_ab) + S) - (e'_ab s_ab + R) / (e'_ab + S')
       cross = (s_ab S' - R) / (e'_ab + S').
     Expectations weight pair p by its probability and J by its
-    multiplicity times prod_j mass_j^count_j. Without ``f_prev`` only
-    ``con_t`` is computed; the other fields are NaN.
+    multiplicity times prod_j mass_j^count_j. The grid is walked in
+    blocks of consecutive pairs of about ``_BLOCK`` entries, each folded
+    into the expectations as pair_w[block] @ values @ neg_w, so a grid of
+    one block sums in the same order as a whole-grid pass. Without
+    ``f_prev`` only ``con_t`` is computed; the other fields are NaN.
     """
     counts, neg_w = negative_weights(dist, k)
     anchors, positives, pair_w = positive_pairs(dist)
-
-    def expect(values: np.ndarray) -> float:
-        return float(pair_w @ values @ neg_w)
-
-    def on_grid(tab: _AnchorTables):
-        """s_ab, shifted exp(s_ab) and S on the (P, M) grid, and
-        log(exp(s_ab) + S) there."""
-        s_ab = tab.sims[anchors, positives][:, None]
-        e_ab = tab.ex[anchors, positives][:, None]
-        sums = tab.sums[anchors]
-        return s_ab, e_ab, sums, np.log(e_ab + sums) + tab.shift[anchors]
-
     t = _anchor_tables(f_t, dist.points, counts)
-    s_ab, _, _, lse = on_grid(t)
-    con_t = expect(lse - s_ab)
+    s_ab = t.sims[anchors, positives][:, None]
+    e_ab_t = t.ex[anchors, positives][:, None]
+    if f_prev is not None:
+        p = _anchor_tables(f_prev, dist.points, counts)
+        s_prev = p.sims[anchors, positives][:, None]
+        e_ab_prev = p.ex[anchors, positives][:, None]  # e'_ab
+        e_s = e_ab_prev * s_ab
+        cross_tab = (p.ex * t.sims) @ counts.T  # R per (anchor, multiset)
+    rows = max(1, _BLOCK // counts.shape[0])
+    con_t = con_prev = dis = cross = 0.0
+    for lo in range(0, anchors.size, rows):
+        sl = slice(lo, lo + rows)
+        a, w = anchors[sl], pair_w[sl]
+        lse = t.sums[a]  # log(exp(s_ab) + S), shifted back
+        lse += e_ab_t[sl]
+        np.log(lse, out=lse)
+        lse += t.shift[a]
+        con_t += float(w @ (lse - s_ab[sl]) @ neg_w)
+        if f_prev is None:
+            continue
+        denom = p.sums[a]  # S', then e'_ab + S'
+        r = cross_tab[a]
+        cross_num = denom * s_ab[sl]
+        cross_num -= r
+        denom += e_ab_prev[sl]
+        lse_prev = np.log(denom)
+        lse_prev += p.shift[a]
+        lse_prev -= s_prev[sl]
+        con_prev += float(w @ lse_prev @ neg_w)
+        r += e_s[sl]  # then the CE
+        r /= denom
+        np.subtract(lse, r, out=r)
+        dis += float(w @ r @ neg_w)
+        cross_num /= denom
+        cross += float(w @ cross_num @ neg_w)
     if f_prev is None:
         return _PopulationTerms(con_t, np.nan, np.nan, np.nan)
-    p = _anchor_tables(f_prev, dist.points, counts)
-    s_prev, e_ab, sums_prev, lse_prev = on_grid(p)
-    con_prev = expect(lse_prev - s_prev)
-    cross_sums = ((p.ex * t.sims) @ counts.T)[anchors]  # R on the (P, M) grid
-    denom = e_ab + sums_prev
-    dis = expect(lse - (e_ab * s_ab + cross_sums) / denom)
-    cross = expect((s_ab * sums_prev - cross_sums) / denom)
     return _PopulationTerms(con_t, con_prev, dis, dis - con_t - cross)
 
 

@@ -1,13 +1,16 @@
 """Slow, loop-based oracle implementations of every loss, written straight
 from the definitions and sharing no code with the library. The tests pin
-the vectorized implementations against these."""
+the vectorized implementations against these. Below them are whole-array
+references of faster paths: earlier forms that the current code must
+reproduce bit for bit or, where it sums in another order, within float
+error."""
 
 import itertools
 import math
 
 import numpy as np
 
-from cclab.core import TableModel, TaskDistribution
+from cclab.core import TableModel, TaskDistribution, negative_weights, positive_pairs
 
 
 def two_point_antipodal():
@@ -128,3 +131,51 @@ def class_balanced_reference(labels, batch_size, n_batches, rng):
             [per_class[c][rng.integers(0, per_class[c].size)] for c in cs]
         ))
     return batches
+
+
+def population_terms_reference(f_t, dist, k, f_prev=None):
+    """(con_t, con_prev, dis, residual) from one pass over the whole
+    (pair, multiset) grid at once, as losses._population_terms computed
+    them before it walked the grid in blocks."""
+    counts, neg_w = negative_weights(dist, k)
+    anchors, positives, pair_w = positive_pairs(dist)
+
+    def tables(f):
+        emb = f.embed(dist.points)
+        sims = emb @ emb.T
+        shift = sims.max(axis=1, keepdims=True)
+        ex = np.exp(sims - shift)
+        return sims, shift, ex, ex @ counts.T
+
+    def on_grid(sims, shift, ex, sums):
+        s_ab = sims[anchors, positives][:, None]
+        e_ab = ex[anchors, positives][:, None]
+        sums = sums[anchors]
+        return s_ab, e_ab, sums, np.log(e_ab + sums) + shift[anchors]
+
+    def expect(values):
+        return float(pair_w @ values @ neg_w)
+
+    t = tables(f_t)
+    s_ab, _, _, lse = on_grid(*t)
+    con_t = expect(lse - s_ab)
+    if f_prev is None:
+        return con_t, np.nan, np.nan, np.nan
+    p = tables(f_prev)
+    s_prev, e_ab, sums_prev, lse_prev = on_grid(*p)
+    con_prev = expect(lse_prev - s_prev)
+    cross_sums = ((p[2] * t[0]) @ counts.T)[anchors]
+    denom = e_ab + sums_prev
+    dis = expect(lse - (e_ab * s_ab + cross_sums) / denom)
+    cross = expect((s_ab * sums_prev - cross_sums) / denom)
+    return con_t, con_prev, dis, dis - con_t - cross
+
+
+def gamma_reference(t, lam, weights):
+    """bounds.gamma with numpy's min and max over the scaled weights."""
+    if t != weights.task_index:
+        raise ValueError("weights belong to a different task index")
+    if lam < 0:
+        raise ValueError("distillation coefficient must be non-negative")
+    scaled = lam * weights.weights
+    return min(1.0 / t, float(scaled.min())), max(1.0, float(scaled.max()))

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cclab import bounds
 from cclab.bounds import (
     analytic_min_contrastive,
     compute_U,
@@ -28,6 +29,7 @@ from cclab.bounds import (
 )
 from cclab.core import MixtureWeights, random_table_model
 from cclab.losses import population_contrastive
+from tests.helpers import gamma_reference
 
 mpmath.mp.dps = 50
 
@@ -95,6 +97,61 @@ class TestGamma:
         w = MixtureWeights(task_index=2, weights=np.array([1.0]))
         with pytest.raises(ValueError):
             gamma(2, -1.0, w)
+
+
+def random_weights(rng, T):
+    """Random mixture weights for tasks 2..T."""
+    out = []
+    for t in range(2, T + 1):
+        w = rng.dirichlet(np.ones(t - 1)) + 0.01
+        out.append(MixtureWeights(task_index=t, weights=w / w.sum()))
+    return out
+
+
+class TestEvaluatorsMatchNumpyReference:
+    """gamma's cached weight extremes and the cached constants give the
+    same floats as numpy min/max over the scaled weights and constants
+    recomputed per call."""
+
+    GRID = np.linspace(0.01, 20.0, 400)
+
+    def test_constants_cached_and_equal_to_recomputed(self):
+        for k in (1, 2, 5):
+            assert constants(k) is constants(k)
+            assert constants(k) == constants.__wrapped__(k)
+
+    def test_gamma(self):
+        rng = np.random.default_rng(11)
+        for w in random_weights(rng, 6):
+            for lam in [0.0, *self.GRID, *rng.uniform(0, 50, 20)]:
+                assert gamma(w.task_index, lam, w) == gamma_reference(w.task_index, lam, w)
+
+    def test_bounds_and_compute_u(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = []
+        for T in (2, 3, 5, 6):
+            weights = random_weights(rng, T)
+            losses = list(rng.uniform(0.1, 3.0, size=T))
+            lams = [*self.GRID, *(list(rng.uniform(0.05, 5, T - 1)) for _ in range(3))]
+            for k in (1, 2):
+                cases.extend((weights, losses, lam, k) for lam in lams)
+
+        def evaluate():
+            out = []
+            for weights, losses, lam, k in cases:
+                up = theorem1_upper(losses, weights, lam, k=k)
+                lo = theorem1_lower(losses, weights, lam, k=k)
+                u = compute_U(losses[1:], weights, lam if np.isscalar(lam) else lam[-1], k=k)
+                out.append((up.value, up.gammas, up.coefficients, up.eta,
+                            lo.value, lo.gammas, lo.coefficients, lo.eta, u))
+            lo0 = [theorem1_lower(losses, weights, 0.0, k=k).value
+                   for weights, losses, _, k in cases]
+            return out, lo0
+
+        got = evaluate()
+        monkeypatch.setattr(bounds, "gamma", gamma_reference)
+        monkeypatch.setattr(bounds, "constants", constants.__wrapped__)
+        assert got == evaluate()
 
 
 class TestLemma1:

@@ -96,6 +96,9 @@ class TestConfigHandling:
         ("verify", {"dimension": 0}),
         ("verify", {"grad_seeds": -1}),
         ("verify", {"seed": -1}),
+        ("train", {"seed": -1}),
+        ("probe", {"seed": -1}),
+        ("sweep", dict(SMALL_TRAIN, seeds=[-1])),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)

@@ -133,6 +133,18 @@ class TestMixture:
         with pytest.raises(ValueError):
             MixtureWeights(task_index=1, weights=np.array([]))
 
+    def test_weights_are_a_read_only_copy(self):
+        given = np.array([0.25, 0.75])
+        w = MixtureWeights(task_index=3, weights=given)
+        assert not w.weights.flags.writeable
+        with pytest.raises(ValueError):
+            w.weights[0] = 0.5
+        assert given.flags.writeable
+        np.testing.assert_array_equal(given, [0.25, 0.75])
+        given[0] = 0.5
+        np.testing.assert_array_equal(w.weights, [0.25, 0.75])
+        assert (w.lo, w.hi) == (0.25, 0.75)
+
     def test_mixture_masses(self):
         d1, d2 = two_class_dist(), four_point_dist()
         w = MixtureWeights(task_index=3, weights=np.array([0.25, 0.75]))

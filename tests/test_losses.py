@@ -6,18 +6,24 @@ import math
 import numpy as np
 import pytest
 
+from cclab import losses
 from cclab.bounds import random_distribution
 from cclab.core import (
     ConstantModel,
+    MixtureWeights,
     TableModel,
+    TaskDistribution,
+    mixture,
     negative_weights,
     positive_pairs,
     random_table_model,
 )
+from cclab.data import make_blob_sequence
 from cclab.losses import (
     Temperatures,
     _anchor_tables,
     _masked_softmax,
+    _population_terms,
     batch_terms,
     decomposition_residual,
     logistic_link,
@@ -32,6 +38,7 @@ from tests.helpers import (
     oracle_population_contrastive,
     oracle_population_distillation,
     oracle_supcon,
+    population_terms_reference,
     two_point_antipodal,
 )
 
@@ -167,6 +174,81 @@ class TestMultisetEvaluator:
         dist, model = two_point_antipodal()
         with pytest.raises(ValueError):
             population_contrastive(model, dist, 0)
+
+
+def grid_size(dist, k):
+    """(P, M): same-class pairs and negative multisets of ``dist``."""
+    return positive_pairs(dist)[0].size, negative_weights(dist, k)[0].shape[0]
+
+
+def assert_same_bits(got, ref):
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def assert_terms_close(got, ref):
+    """The losses within 1e-12 relative; the residual, a difference of
+    losses at float-error level, within 1e-12 of their scale."""
+    np.testing.assert_allclose(got[:3], ref[:3], rtol=1e-12, atol=0)
+    if not np.isnan(ref[3]):
+        assert abs(got[3] - ref[3]) <= 1e-12 * abs(ref[2])
+
+
+class TestBlockedEvaluator:
+    """The blocked (pair, multiset) walk against the whole-grid pass."""
+
+    @staticmethod
+    def triple(dist, seed):
+        rng = np.random.default_rng(seed)
+        return random_table_model(dist, 4, rng), random_table_model(dist, 4, rng)
+
+    def test_multi_block_mixture_matches_whole_grid(self):
+        tasks = make_blob_sequence(4, 2, 12, seed=3)  # 10 train points per class
+        dist = mixture([t.train for t in tasks], MixtureWeights(5, np.full(4, 0.25)))
+        assert dist.size == 80 and dist.classes.size == 8
+        P, M = grid_size(dist, 2)
+        assert P * M > 50 * losses._BLOCK
+        f_t, f_p = self.triple(dist, 1)
+        for prev in (None, f_p):
+            assert_terms_close(_population_terms(f_t, dist, 2, prev),
+                               population_terms_reference(f_t, dist, 2, prev))
+
+    def test_exactly_one_block_is_bit_identical(self):
+        # one class of 32 points at k = 1 fills the block exactly
+        rng = np.random.default_rng(4)
+        dist = TaskDistribution(points=rng.standard_normal((32, 3)),
+                                labels=np.zeros(32), mass=np.full(32, 1 / 32))
+        P, M = grid_size(dist, 1)
+        assert P * M == losses._BLOCK
+        f_t, f_p = self.triple(dist, 2)
+        for prev in (None, f_p):
+            assert_same_bits(_population_terms(f_t, dist, 1, prev),
+                             population_terms_reference(f_t, dist, 1, prev))
+
+    def test_block_boundaries(self, monkeypatch):
+        # the block resized around a 6-point grid: exactly one block, one
+        # block plus one row, and M above the block (one row per block)
+        dist = random_distribution(np.random.default_rng(8), 6, 3)
+        P, M = grid_size(dist, 2)
+        f_t, f_p = self.triple(dist, 3)
+        refs = [population_terms_reference(f_t, dist, 2, prev) for prev in (None, f_p)]
+        for block, exact in ((P * M, True), ((P - 1) * M, False), (M - 1, False)):
+            monkeypatch.setattr(losses, "_BLOCK", block)
+            for prev, ref in zip((None, f_p), refs):
+                got = _population_terms(f_t, dist, 2, prev)
+                (assert_same_bits if exact else assert_terms_close)(got, ref)
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (4, 5), (8, 3)])
+    def test_single_block_shapes_bit_identical(self, n, k):
+        # the exact-sandwich (n, k) cells fit one block
+        rng = np.random.default_rng(10 * n + k)
+        for _ in range(5):
+            dist = random_distribution(rng, n, 3)
+            P, M = grid_size(dist, k)
+            assert P * M <= losses._BLOCK
+            f_t, f_p = random_table_model(dist, 4, rng), random_table_model(dist, 4, rng)
+            for prev in (None, f_p):
+                assert_same_bits(_population_terms(f_t, dist, k, prev),
+                                 population_terms_reference(f_t, dist, k, prev))
 
 
 class TestDecomposition:
