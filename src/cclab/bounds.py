@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmbeddingModel, MixtureWeights, TaskDistribution
-from .losses import _population_terms, population_contrastive
+from .core import MASS_TOL, EmbeddingModel, MixtureWeights, TaskDistribution, normalize_rows
+from .losses import _BLOCK, _population_terms, _stacked_terms, population_contrastive
 
 E2 = math.exp(2.0)
 
@@ -31,6 +31,11 @@ class BoundConstants:
     alpha: float
     beta: float
     beta_prime: float
+
+    def slacks(self, l_t, l_prev, l_dis, alpha_shift: float = 0.0):
+        """(upper, lower) sandwich slacks of floats or arrays; alpha_shift moves alpha."""
+        a = self.alpha + alpha_shift
+        return a * l_prev + l_dis + self.beta - l_t, l_t - a * l_prev - l_dis - self.beta_prime
 
 
 @functools.lru_cache(maxsize=64)
@@ -68,12 +73,8 @@ def lemma1_slack(
     three losses come from one exact pass. ``alpha_corruption`` shifts
     alpha; nonzero values exist only to prove the checks can fail.
     """
-    c = constants(k)
-    alpha = c.alpha + alpha_corruption
     l_t, l_prev, l_dis, _ = _population_terms(f_t, dist, k, f_prev)
-    upper_slack = alpha * l_prev + l_dis + c.beta - l_t
-    lower_slack = l_t - alpha * l_prev - l_dis - c.beta_prime
-    return upper_slack, lower_slack
+    return constants(k).slacks(l_t, l_prev, l_dis, alpha_corruption)
 
 
 def gamma(t: int, lam: float, weights: MixtureWeights) -> tuple[float, float]:
@@ -307,6 +308,25 @@ def theorem2_step(state: ScheduleState, U_t: float) -> ScheduleState:
     )
 
 
+def _draw(rng: np.random.Generator, B: int, n: int, d: int, e: int = 0, n_classes: int = 2):
+    """(B, n) labels and masses, checked as TaskDistribution checks them, and
+    (B, n*(d + 2e)) normals: points then two (n, e) tables per distribution,
+    the stream of random_distribution and two random_table_model calls."""
+    n_classes = min(n_classes, n)
+    labels = np.tile(np.arange(n), (B, 1))  # the first n_classes stay
+    mass, normals = np.empty((B, n)), np.empty((B, n * (d + 2 * e)))
+    for b in range(B):
+        labels[b, n_classes:] = rng.integers(0, n_classes, size=n - n_classes)
+        rng.standard_exponential(out=mass[b])  # then as rng.dirichlet(ones(n))
+        rng.standard_normal(out=normals[b])
+    mass = np.maximum(mass * (1 / np.cumsum(mass, axis=1)[:, -1:]), 1e-3)
+    mass /= mass.sum(axis=1, keepdims=True)
+    covered = ((labels[:, :, None] == np.arange(n_classes)) & (mass[:, :, None] > 0)).any(1)
+    if (mass < 0).any() or (abs(mass.sum(1) - 1.0) > MASS_TOL).any() or not covered.all():
+        raise ValueError("masses must be non-negative, sum to 1 and cover every class")
+    return labels, mass, normals
+
+
 def random_distribution(
     rng: np.random.Generator,
     support_size: int = 4,
@@ -314,18 +334,26 @@ def random_distribution(
     n_classes: int = 2,
 ) -> TaskDistribution:
     """Random finite-support distribution with Dirichlet point masses."""
-    n_classes = min(n_classes, support_size)
-    labels = np.concatenate(
-        [np.arange(n_classes), rng.integers(0, n_classes, size=support_size - n_classes)]
-    )
-    mass = rng.dirichlet(np.ones(support_size))
-    mass = np.maximum(mass, 1e-3)
-    mass /= mass.sum()
-    return TaskDistribution(
-        points=rng.standard_normal((support_size, dimension)),
-        labels=labels,
-        mass=mass,
-    )
+    labels, mass, points = _draw(rng, 1, support_size, dimension, n_classes=n_classes)
+    return TaskDistribution(points.reshape(support_size, dimension), labels[0], mass[0])
+
+
+def _worst_trials(trials, k, seed, n, d, e, alpha_corruption=0.0):
+    """Worst (upper slack, lower slack, |residual|) over random triples on n
+    points, B of at most ``_BLOCK`` table entries at a time, embedded as TableModel does."""
+    rng = np.random.default_rng(seed)
+    per_block = max(1, _BLOCK // (n * math.comb(n + k - 1, k)))
+    worst = [np.inf, np.inf, 0.0]
+    for B in np.diff([*range(0, trials, per_block), trials]):  # block sizes
+        labels, mass, normals = _draw(rng, B, n, d, e)
+        keys = (normals[:, : n * d].reshape(B, n, d) + 0.0).view(np.int64)  # TableModel keys
+        src = n - 1 - (keys[:, :, None] == keys[:, None]).all(3)[:, :, ::-1].argmax(2)
+        unit = normalize_rows(normals[:, n * d :].reshape(-1, e)).reshape(B, 2, n, e)
+        emb = np.take_along_axis(unit, src[:, None, :, None], axis=2)
+        terms = _stacked_terms(emb[:, 0], labels, mass, k, emb[:, 1])
+        up, lo, res = *constants(k).slacks(*terms.T[:3], alpha_corruption), abs(terms[:, 3])
+        worst = [min(worst[0], up.min()), min(worst[1], lo.min()), max(worst[2], res.max())]
+    return tuple(float(w) for w in worst)
 
 
 def lemma1_trials(
@@ -342,18 +370,8 @@ def lemma1_trials(
     ``alpha_corruption`` shifts the alpha constant; nonzero values exist
     only to prove the suite can fail (sabotage hook).
     """
-    from .core import random_table_model
-
-    rng = np.random.default_rng(seed)
-    worst_up = worst_lo = np.inf
-    for _ in range(trials):
-        dist = random_distribution(rng, support_size, dimension)
-        f_t = random_table_model(dist, embed_dim, rng)
-        f_prev = random_table_model(dist, embed_dim, rng)
-        up, lo = lemma1_slack(f_t, f_prev, dist, k, alpha_corruption=alpha_corruption)
-        worst_up = min(worst_up, up)
-        worst_lo = min(worst_lo, lo)
-    return float(worst_up), float(worst_lo)
+    args = trials, k, seed, support_size, dimension, embed_dim, alpha_corruption
+    return _worst_trials(*args)[:2]
 
 
 def decomposition_check_trials(
@@ -365,17 +383,7 @@ def decomposition_check_trials(
     embed_dim: int = 4,
 ) -> float:
     """Worst absolute cross-entropy decomposition residual over random triples."""
-    from .core import random_table_model
-    from .losses import decomposition_residual
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        dist = random_distribution(rng, support_size, dimension)
-        f_t = random_table_model(dist, embed_dim, rng)
-        f_prev = random_table_model(dist, embed_dim, rng)
-        worst = max(worst, abs(decomposition_residual(f_t, f_prev, dist, k)))
-    return worst
+    return _worst_trials(trials, k, seed, support_size, dimension, embed_dim)[2]
 
 
 def turning_point(weights: list[MixtureWeights]) -> float:

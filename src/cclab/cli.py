@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -115,6 +115,7 @@ VERIFY_MINIMA = {
     "trials": 1, "support_size": 1, "dimension": 1, "embed_dim": 1, "grad_seeds": 0,
     "seed": 0,
 }
+MAX_TABLE_ENTRIES = 1 << 26  # most n * C(n+k-1, k) anchor-table entries verify accepts
 
 
 def cmd_verify(cfg: dict, out: Path) -> int:
@@ -124,6 +125,9 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     for key, least in VERIFY_MINIMA.items():
         if cfg[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {cfg[key]!r}")
+    n = cfg["support_size"]
+    if max(n * math.comb(n + k - 1, k) for k in ks) > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"support_size {n} and ks {ks} exceed {MAX_TABLE_ENTRIES} entries")
     report = {"constants": {}, "lemma1": {}, "decomposition": {}, "gradients": {}}
     failures = []
     for k in cfg["ks"]:
@@ -357,6 +361,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     for cell in [base] + cells:  # a bad value fails here, not in a worker
         _check_config(cell, RUN_DEFAULTS)
         _run_from_config(cell)
+    from concurrent.futures import ProcessPoolExecutor  # only sweep needs the process pool
     workers = int(os.environ.get("CCL_THREADS", "0")) or None
     results, errors = [], []
     with ProcessPoolExecutor(max_workers=workers) as pool:

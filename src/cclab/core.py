@@ -215,8 +215,13 @@ def negative_weights(dist: TaskDistribution, k: int) -> tuple[np.ndarray, np.nda
     with the anchor's class or the anchor itself.
     Returns (counts (M, n), weights (M,)); the weights sum to 1.
     """
-    counts, multiplicity = negative_multisets(dist.size, k)
-    return counts, multiplicity * np.prod(dist.mass ** counts, axis=1)
+    return stacked_negative_weights(dist.mass, k)
+
+
+def stacked_negative_weights(mass: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """negative_weights of (n,) or (B, n) masses: counts (M, n), weights (..., M)."""
+    counts, multiplicity = negative_multisets(mass.shape[-1], k)
+    return counts, multiplicity * np.prod(mass[..., None, :] ** counts, axis=-1)
 
 
 def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,13 +231,17 @@ def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.n
     pair weight is mu(c) * D_c(x) * D_c(x+) = mass(x) * mass(x+) / mu(c).
     Identical-point pairs are included.
     """
-    _, cls = np.unique(dist.labels, return_inverse=True)
-    mu = np.bincount(cls, weights=dist.mass)
-    order = np.argsort(cls, kind="stable")  # class by class, in index order
-    a, b = np.nonzero(cls[order][:, None] == cls[order][None, :])
-    anchors, positives = order[a], order[b]
-    weights = dist.mass[anchors] * dist.mass[positives] / mu[cls[anchors]]
-    return anchors, positives, weights
+    return stacked_positive_pairs(dist.labels[None], dist.mass[None])[1:]
+
+
+def stacked_positive_pairs(labels: np.ndarray, mass: np.ndarray):
+    """positive_pairs of (B, n) labels and masses: (trial, anchors, positives, weights)."""
+    order = np.argsort(labels, axis=1, kind="stable")  # class by class, in index order
+    ranked, m = (x[np.arange(len(x))[:, None], order] for x in (labels, mass))
+    same = ranked[:, :, None] == ranked[:, None, :]
+    mu = np.cumsum(np.where(same, m[:, None], 0.0), axis=2)[..., -1]  # summed in index order
+    trial, a, b = np.nonzero(same)
+    return trial, order[trial, a], order[trial, b], m[trial, a] * m[trial, b] / mu[trial, a]
 
 
 class EmbeddingModel:

@@ -10,7 +10,15 @@ import math
 
 import numpy as np
 
-from cclab.core import TableModel, TaskDistribution, negative_weights, positive_pairs
+from cclab.bounds import constants, random_distribution
+from cclab.core import (
+    TableModel,
+    TaskDistribution,
+    negative_weights,
+    positive_pairs,
+    random_table_model,
+)
+from cclab.losses import _population_terms
 
 
 def two_point_antipodal():
@@ -179,3 +187,45 @@ def gamma_reference(t, lam, weights):
         raise ValueError("distillation coefficient must be non-negative")
     scaled = lam * weights.weights
     return min(1.0 / t, float(scaled.min())), max(1.0, float(scaled.max()))
+
+
+def random_distribution_reference(rng, support_size=4, dimension=3, n_classes=2):
+    """bounds.random_distribution as it drew before the stacked trial draw:
+    one rng.dirichlet call for the masses, then the points."""
+    n_classes = min(n_classes, support_size)
+    labels = np.concatenate(
+        [np.arange(n_classes), rng.integers(0, n_classes, size=support_size - n_classes)]
+    )
+    mass = rng.dirichlet(np.ones(support_size))
+    mass = np.maximum(mass, 1e-3)
+    mass /= mass.sum()
+    return TaskDistribution(
+        points=rng.standard_normal((support_size, dimension)), labels=labels, mass=mass
+    )
+
+
+def trial_terms_reference(trials, k, seed, support_size=4, dimension=3, embed_dim=4,
+                          alpha_corruption=0.0):
+    """The random triples of bounds.lemma1_trials and
+    decomposition_check_trials, one at a time as those functions drew and
+    evaluated them before they worked in stacked blocks: a
+    random_distribution, two random_table_model calls and one
+    _population_terms pass per trial. Returns the (trials, 4) terms and
+    the (lemma1_trials, decomposition_check_trials) results, reduced one
+    trial at a time, with the slacks written out as lemma1_slack had them."""
+    c = constants(k)
+    alpha = c.alpha + alpha_corruption
+    rng = np.random.default_rng(seed)
+    terms = []
+    worst_up = worst_lo = np.inf
+    worst_res = 0.0
+    for _ in range(trials):
+        dist = random_distribution(rng, support_size, dimension)
+        f_t = random_table_model(dist, embed_dim, rng)
+        f_prev = random_table_model(dist, embed_dim, rng)
+        terms.append(_population_terms(f_t, dist, k, f_prev))
+        l_t, l_prev, l_dis, residual = terms[-1]
+        worst_up = min(worst_up, alpha * l_prev + l_dis + c.beta - l_t)
+        worst_lo = min(worst_lo, l_t - alpha * l_prev - l_dis - c.beta_prime)
+        worst_res = max(worst_res, abs(residual))
+    return np.array(terms), ((float(worst_up), float(worst_lo)), worst_res)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cclab import bounds
+from cclab import bounds, losses
 from cclab.bounds import (
     analytic_min_contrastive,
     compute_U,
@@ -27,9 +27,13 @@ from cclab.bounds import (
     theorem2_step,
     turning_point,
 )
-from cclab.core import MixtureWeights, random_table_model
-from cclab.losses import population_contrastive
-from tests.helpers import gamma_reference
+from cclab.core import MixtureWeights, TableModel, random_table_model
+from cclab.losses import _stacked_terms, population_contrastive
+from tests.helpers import (
+    gamma_reference,
+    random_distribution_reference,
+    trial_terms_reference,
+)
 
 mpmath.mp.dps = 50
 
@@ -185,6 +189,97 @@ class TestLemma1:
     def test_sabotage_hook_can_fail(self):
         up, _ = lemma1_trials(trials=30, k=1, seed=0, alpha_corruption=-2.0)
         assert up < 0
+
+
+def same_bytes(got, ref):
+    return np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+class TestStackedTrials:
+    """lemma1_trials and decomposition_check_trials draw and evaluate their
+    trials in stacked blocks. Every trial's four terms and both results
+    must equal the one-trial-at-a-time reference byte for byte."""
+
+    CELLS = [(4, 1, 20), (4, 2, 25), (4, 5, 16), (8, 3, 3), (4, 2, 1)]
+
+    @staticmethod
+    def check(monkeypatch, n, k, trials, seed, alpha_corruption=0.0):
+        seen = []
+
+        def record(*args):
+            seen.append(_stacked_terms(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(bounds, "_stacked_terms", record)
+        ref_terms, (ref_worst, ref_res) = trial_terms_reference(
+            trials, k, seed, support_size=n, alpha_corruption=alpha_corruption
+        )
+        worst = lemma1_trials(trials, k, seed, support_size=n,
+                              alpha_corruption=alpha_corruption)
+        assert same_bytes(np.concatenate(seen), ref_terms)
+        assert same_bytes(worst, ref_worst)
+        seen.clear()
+        res = decomposition_check_trials(trials, k, seed, support_size=n)
+        assert same_bytes(np.concatenate(seen), ref_terms)
+        assert same_bytes(res, ref_res)
+        return len(seen)
+
+    @pytest.mark.parametrize("n, k, trials", CELLS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_exact_sandwich_cells(self, monkeypatch, n, k, trials, seed):
+        assert self.check(monkeypatch, n, k, trials, seed) == 1  # one stacked call
+
+    @pytest.mark.parametrize("alpha_corruption", [-2.0, 0.3])
+    def test_alpha_corruption(self, monkeypatch, alpha_corruption):
+        self.check(monkeypatch, 4, 2, 25, 5, alpha_corruption)
+
+    @pytest.mark.parametrize("rows", [40, 9, 5])
+    def test_small_blocks(self, monkeypatch, rows):
+        # k = 2 on 4 points: M = 10 multisets and 8, 10 or 16 pairs a trial.
+        # 40 rows pack several trials a block; 9 split the longer trials
+        # and join their tails to the next; 5 split every trial. The draw
+        # then works in blocks of 10, 2 and 1 trials.
+        for module in (losses, bounds):
+            monkeypatch.setattr(module, "_BLOCK", rows * 10)
+        calls = self.check(monkeypatch, 4, 2, 25, 3)
+        assert calls == -(-25 // max(1, rows // 4))
+
+    def test_large_k_splits_trials(self, monkeypatch):
+        monkeypatch.setattr(losses, "_BLOCK", 7 * 120)  # M = 120 at (8, 3)
+        self.check(monkeypatch, 8, 3, 4, 2)
+
+    def test_repeated_point_takes_later_vector(self, monkeypatch):
+        # rows 0 and 2 are the same point up to the sign of zero, and row 3
+        # of f_t's table is degenerate: the stacked embeddings must be what
+        # TableModel's byte-key lookup and normalize_rows give
+        points = np.array([[0.5, -0.0], [1.0, 2.0], [0.5, 0.0], [-3.0, 1.0]])
+        rng = np.random.default_rng(4)
+        vecs = rng.standard_normal((2, 4, 3))
+        vecs[0, 3] = 0.0
+        normals = np.concatenate([points.ravel(), vecs.ravel()])[None]
+        labels, mass = np.array([[0, 1, 0, 1]]), np.full((1, 4), 0.25)
+        monkeypatch.setattr(bounds, "_draw", lambda *args: (labels, mass, normals))
+        seen = []
+        monkeypatch.setattr(bounds, "_stacked_terms",
+                            lambda *args: seen.append(args) or np.zeros((1, 4)))
+        lemma1_trials(1, 1, support_size=4, dimension=2, embed_dim=3)
+        emb_t, _, _, _, emb_prev = seen[0]
+        for got, v in zip((emb_t, emb_prev), vecs):
+            want = TableModel(points, v).embed(points)
+            assert same_bytes(got[0], want)
+        assert same_bytes(emb_t[0, 0], emb_t[0, 2])
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 16])
+    def test_random_distribution_draws_as_dirichlet(self, n):
+        # the masses come from unit exponentials over their running sum,
+        # which is how rng.dirichlet(ones(n)) draws them
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(5):
+            got = random_distribution(rng, n, 3)
+            ref = random_distribution_reference(ref_rng, n, 3)
+            for field in ("points", "labels", "mass"):
+                assert same_bytes(getattr(got, field), getattr(ref, field))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMinContrastive:

@@ -4,8 +4,21 @@ import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cclab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VIOLATION, main
+from cclab.cli import (
+    BOUNDS_DEFAULTS,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    PROBE_DEFAULTS,
+    RUN_DEFAULTS,
+    SWEEP_DEFAULTS,
+    VERIFY_DEFAULTS,
+    main,
+)
 from cclab.continual import RunConfig
 from cclab.trainer import Encoder, SgdConfig, Temperatures, save_checkpoint
 
@@ -48,6 +61,52 @@ class TestVerify:
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_VIOLATION
         assert "FAIL" in capsys.readouterr().out
+
+
+COMMAND_DEFAULTS = {
+    "verify": VERIFY_DEFAULTS, "train": RUN_DEFAULTS, "probe": PROBE_DEFAULTS,
+    "bounds": BOUNDS_DEFAULTS, "sweep": SWEEP_DEFAULTS,
+}
+# integer keys and values below the least each command accepts
+BELOW_RANGE = {
+    "verify": {"trials": 0, "support_size": 0, "dimension": 0, "embed_dim": 0,
+               "grad_seeds": -1, "seed": -1},
+    "train": {"tasks": 0, "classes_per_task": 0, "points_per_class": 1, "d_in": 1, "seed": -1},
+    "bounds": {"T": 1, "k": 0},
+}
+BELOW_RANGE["probe"] = BELOW_RANGE["sweep"] = BELOW_RANGE["train"]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _wrong_type(default, value):
+    want = type(default)
+    return not (type(value) is want or (want is float and type(value) is int))
+
+
+def invalid_configs(command):
+    """Configs of default entries plus one to three invalid ones: an
+    unknown key, a value of the wrong type, a non-finite float or an
+    integer below its key's range."""
+    defaults = COMMAND_DEFAULTS[command]
+    floats = sorted(k for k, v in defaults.items() if type(v) is float)
+    below = BELOW_RANGE[command]
+    invalid = st.one_of(
+        st.tuples(st.text(max_size=8).filter(lambda k: k not in defaults), JSON_VALUES),
+        st.sampled_from(sorted(defaults)).flatmap(lambda k: st.tuples(
+            st.just(k), JSON_VALUES.filter(lambda v: _wrong_type(defaults[k], v)))),
+        st.tuples(st.sampled_from(floats),
+                  st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+        st.sampled_from(sorted(below)).flatmap(lambda k: st.tuples(
+            st.just(k), st.integers(max_value=below[k]))),
+    )
+    valid = st.lists(st.sampled_from(sorted(defaults)), unique=True)
+    return st.tuples(valid, st.lists(invalid, min_size=1, max_size=3)).map(
+        lambda parts: {**{k: defaults[k] for k in parts[0]}, **dict(parts[1])}
+    )
 
 
 class TestConfigHandling:
@@ -99,6 +158,7 @@ class TestConfigHandling:
         ("train", {"seed": -1}),
         ("probe", {"seed": -1}),
         ("sweep", dict(SMALL_TRAIN, seeds=[-1])),
+        ("verify", {"support_size": 40, "ks": [40]}),  # C(79, 40) multisets
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -107,6 +167,23 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "Traceback" not in err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_fuzzed_invalid_config_is_config_error(self, tmp_path, capsys, command):
+        # every generated config holds at least one invalid entry, so each
+        # example stops at the config check, before any work
+        @given(config=invalid_configs(command))
+        @settings(max_examples=25, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        def run(config):
+            cfg = write_config(tmp_path, "fuzz.json", json.dumps(config))
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG, config
+            assert "Traceback" not in err
+            assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+        run()
 
     def test_train_defaults_are_the_dataclass_defaults(self, tmp_path):
         # every train key but the data shape names one field: RunConfig's and

@@ -140,7 +140,7 @@ class TestAnchorTables:
         f = random_table_model(dist, 4, np.random.default_rng(6))
         emb = f.embed(dist.points)
         counts, _ = negative_weights(dist, 2)
-        tab = _anchor_tables(f, dist.points, counts)
+        tab = _anchor_tables(emb, counts)
         anchors, positives, _ = positive_pairs(dist)
         for a, b in zip(anchors, positives):
             for J, row in enumerate(counts):
