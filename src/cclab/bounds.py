@@ -123,18 +123,29 @@ def min_con_surrogate(
     return population_contrastive(enc.snapshot(dist.points), dist, k)
 
 
-def _eta_factor(alpha: float, T: int) -> float:
-    """(T - 1 - T*alpha + alpha^T) / (1 - alpha)^2."""
-    return (T - 1 - T * alpha + alpha**T) / (1.0 - alpha) ** 2
+@functools.lru_cache(maxsize=64)
+def _theorem1_constants(k: int, T: int) -> tuple[BoundConstants, tuple[float, ...], float]:
+    """constants(k), alpha**(T - t) for t = 1..T and the eta factor
+    (T - 1 - T*alpha + alpha^T) / (1 - alpha)^2, cached per (k, T)."""
+    c = constants(k)
+    alpha = c.alpha
+    eta_factor = (T - 1 - T * alpha + alpha**T) / (1.0 - alpha) ** 2
+    return c, tuple(alpha ** (T - t) for t in range(1, T + 1)), eta_factor
 
 
-def _per_task_lambdas(lam, T: int) -> list[float]:
-    if np.isscalar(lam):
-        return [float(lam)] * (T - 1)
-    lams = [float(x) for x in lam]
+def _theorem1_inputs(train_losses, weights: list[MixtureWeights], lam, k: int):
+    """The checked inputs of both Theorem 1 evaluators: (training losses,
+    a coefficient per task 2..T, constants, alpha powers, eta factor)."""
+    losses = [float(x) for x in train_losses]
+    T = len(losses)
+    if T < 2:
+        raise ValueError("bounds need at least two tasks")
+    if len(weights) != T - 1:
+        raise ValueError(f"need mixture weights for tasks 2..{T}")
+    lams = [float(lam)] * (T - 1) if np.isscalar(lam) else [float(x) for x in lam]
     if len(lams) != T - 1:
         raise ValueError(f"need one coefficient per task 2..{T}, got {len(lams)}")
-    return lams
+    return losses, lams, *_theorem1_constants(k, T)
 
 
 @dataclass
@@ -175,19 +186,13 @@ def theorem1_upper(
     ``minf`` optionally supplies per-task best-achievable-loss values for
     tasks 2..T; by default the analytic surrogate is used for all.
     """
-    losses = [float(x) for x in train_losses]
+    losses, lams, c, powers, eta_factor = _theorem1_inputs(train_losses, weights, lam, k)
     T = len(losses)
-    if T < 2:
-        raise ValueError("bounds need at least two tasks")
-    if len(weights) != T - 1:
-        raise ValueError(f"need mixture weights for tasks 2..{T}")
-    lams = _per_task_lambdas(lam, T)
-    c = constants(k)
     if minf is None:
         minf = [analytic_min_contrastive(k)] * (T - 1)
     minf = [float(x) for x in minf]
-    gammas, coeffs = [], [c.alpha ** (T - 1)]
-    eta = c.beta * _eta_factor(c.alpha, T)
+    gammas, coeffs = [], [powers[0]]
+    eta = c.beta * eta_factor
     value = coeffs[0] * losses[0]
     for i, t in enumerate(range(2, T + 1)):
         g, _ = gamma(t, lams[i], weights[i])
@@ -196,10 +201,10 @@ def theorem1_upper(
                 f"task {t}: coefficient {lams[i]} gives a zero denominator"
             )
         gammas.append(g)
-        w = c.alpha ** (T - t) / g
+        w = powers[t - 1] / g
         coeffs.append(w)
         value += w * losses[i + 1]
-        eta += c.alpha ** (T - t) * (1.0 - 1.0 / g) * minf[i]
+        eta += powers[t - 1] * (1.0 - 1.0 / g) * minf[i]
     value += eta
     return BoundReport(
         kind="upper",
@@ -225,21 +230,15 @@ def theorem1_lower(
 ) -> BoundReport:
     """Lower bound counterpart, using the max-form denominators and the
     k-negative eta' constant."""
-    losses = [float(x) for x in train_losses]
+    losses, lams, c, powers, eta_factor = _theorem1_inputs(train_losses, weights, lam, k)
     T = len(losses)
-    if T < 2:
-        raise ValueError("bounds need at least two tasks")
-    if len(weights) != T - 1:
-        raise ValueError(f"need mixture weights for tasks 2..{T}")
-    lams = _per_task_lambdas(lam, T)
-    c = constants(k)
-    gammas, coeffs = [], [c.alpha ** (T - 1)]
-    eta = c.beta_prime * _eta_factor(c.alpha, T)
+    gammas, coeffs = [], [powers[0]]
+    eta = c.beta_prime * eta_factor
     value = coeffs[0] * losses[0]
     for i, t in enumerate(range(2, T + 1)):
         _, gp = gamma(t, lams[i], weights[i])
         gammas.append(gp)
-        w = c.alpha ** (T - t) / gp
+        w = powers[t - 1] / gp
         coeffs.append(w)
         value += w * losses[i + 1]
     value += eta

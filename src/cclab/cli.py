@@ -110,18 +110,19 @@ VERIFY_DEFAULTS = {
 }
 
 
-# the least value of each integer verify key; ks holds ints >= 1
+# the least value of each integer verify key; ks holds ints in 1..MAX_K
 VERIFY_MINIMA = {
     "trials": 1, "support_size": 1, "dimension": 1, "embed_dim": 1, "grad_seeds": 0,
     "seed": 0,
 }
 MAX_TABLE_ENTRIES = 1 << 26  # most n * C(n+k-1, k) anchor-table entries verify accepts
+MAX_K = 170  # the largest k whose k! is finite in float64
 
 
 def cmd_verify(cfg: dict, out: Path) -> int:
     ks = cfg["ks"]
-    if not ks or not all(type(k) is int and k >= 1 for k in ks):
-        raise ConfigError(f"ks must be a non-empty list of ints >= 1, got {ks!r}")
+    if not ks or not all(type(k) is int and 1 <= k <= MAX_K for k in ks):
+        raise ConfigError(f"ks must be a non-empty list of ints in 1..{MAX_K}, got {ks!r}")
     for key, least in VERIFY_MINIMA.items():
         if cfg[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {cfg[key]!r}")

@@ -379,11 +379,7 @@ def population_bound_check(
     """
     from .bounds import theorem1_lower, theorem1_upper
     from .core import mixture
-    from .losses import (
-        population_contrastive,
-        population_distillation,
-        population_test_loss,
-    )
+    from .losses import _stacked_contrastive, population_distillation, population_test_loss
 
     T = len(task_models)
     if T != len(task_dists) or T < 2:
@@ -395,14 +391,13 @@ def population_bound_check(
             MixtureWeights(task_index=t, weights=np.full(t - 1, 1.0 / (t - 1)))
             for t in range(2, T + 1)
         ]
-    train_losses = [population_contrastive(task_models[0], task_dists[0], k)]
+    train_losses = _stacked_contrastive(task_models, task_dists, k)
     for i, t in enumerate(range(2, T + 1)):
         past = mixture(task_dists[: t - 1], weights[i])
-        l_con = population_contrastive(task_models[t - 1], task_dists[t - 1], k)
         l_dis = population_distillation(
             task_models[t - 1], task_models[t - 2], past, k
         )
-        train_losses.append(l_con + lambdas[i] * l_dis)
+        train_losses[t - 1] += lambdas[i] * l_dis
     upper = theorem1_upper(train_losses, weights, lambdas, k=k)
     lower = theorem1_lower(train_losses, weights, lambdas, k=k)
     realized = population_test_loss(task_models[-1], task_dists, k)

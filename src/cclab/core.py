@@ -275,7 +275,8 @@ class TableModel(EmbeddingModel):
 
     Lookup is by exact float bytes, which is what table snapshots of
     trained encoders produce for the supports they were built from. Keys
-    are taken from ``p + 0.0`` so that -0.0 and 0.0 name the same point.
+    are taken from ``p + 0.0`` so that -0.0 and 0.0 name the same point,
+    and byte-equal points share the vector given last.
     """
 
     def __init__(self, points: np.ndarray, vectors: np.ndarray):
@@ -284,15 +285,22 @@ class TableModel(EmbeddingModel):
         if points.shape[0] != vectors.shape[0]:
             raise ValueError("one vector per point required")
         self.dim = vectors.shape[1]
-        self._table = {(p + 0.0).tobytes(): v for p, v in zip(points, vectors)}
+        self._vectors = vectors
+        self._rows = {key: i for i, key in enumerate(_row_keys(points))}
 
     def embed(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         try:
-            rows = [self._table[(p + 0.0).tobytes()] for p in points]
+            rows = [self._rows[key] for key in _row_keys(points)]
         except KeyError:
             raise KeyError("point not present in embedding table") from None
-        return np.stack(rows)
+        return self._vectors[rows]
+
+
+def _row_keys(points: np.ndarray) -> list[bytes]:
+    """The bytes of each row of ``points + 0.0``, sliced from one buffer."""
+    blob, width = (points + 0.0).tobytes(), 8 * points.shape[1]
+    return [blob[i * width : (i + 1) * width] for i in range(points.shape[0])]
 
 
 def random_table_model(

@@ -20,6 +20,10 @@ for the tables plus one block of about 2^15 grid entries, not O(P * M).
 A pass takes a stack of same-size trials as arrays: bounds.lemma1_trials
 evaluates its random trials in stacked blocks, each bit-identical to a
 pass on it alone (acceptance criterion 1: 0.050 s, was 0.39 s, 2-core VM).
+population_bound_check and population_test_loss stack their contrastive
+passes by support size and population_distillation asks for the CE alone
+(``dis_only``): a trained 5-task check makes 6 passes, not 14, in 4.1-4.4 ms
+at k = 1 and 31 ms at k = 2, was 5.8-7.1 and 41-46 ms (same VM).
 """
 
 from __future__ import annotations
@@ -87,18 +91,38 @@ def _population_terms(
     dist: TaskDistribution,
     k: int,
     f_prev: EmbeddingModel | None = None,
+    *,
+    dis_only: bool = False,
 ) -> _PopulationTerms:
     """The one-trial case of :func:`_stacked_terms`."""
     emb = [f if f is None else f.embed(dist.points)[None] for f in (f_t, f_prev)]
-    terms = _stacked_terms(emb[0], dist.labels[None], dist.mass[None], k, emb[1])
+    terms = _stacked_terms(emb[0], dist.labels[None], dist.mass[None], k, emb[1],
+                           dis_only=dis_only)
     return _PopulationTerms(*terms[0].tolist())
 
 
-def _stacked_terms(emb_t, labels, mass, k: int, emb_prev=None) -> np.ndarray:
+def _stacked_contrastive(models, dists: list[TaskDistribution], k: int) -> list[float]:
+    """population_contrastive of each (model, dist) pair, in order, with
+    the pairs of one support size stacked into one pass."""
+    out = {}
+    for n in dict.fromkeys(d.size for d in dists):
+        idx = [i for i, d in enumerate(dists) if d.size == n]
+        emb = np.stack([models[i].embed(dists[i].points) for i in idx])
+        labels = np.stack([dists[i].labels for i in idx])
+        mass = np.stack([dists[i].mass for i in idx])
+        out.update(zip(idx, _stacked_terms(emb, labels, mass, k)[:, 0].tolist()))
+    return [out[i] for i in range(len(dists))]
+
+
+def _stacked_terms(
+    emb_t, labels, mass, k: int, emb_prev=None, *, dis_only: bool = False
+) -> np.ndarray:
     """The single exact pass behind every population loss, on B trials:
     (B, n, e) unit embeddings of f_t and optionally f_prev and (B, n) labels
     and masses in, each trial's _PopulationTerms out as a (B, 4) row (NaN
-    but con_t without ``emb_prev``). For pair (a, b) and multiset J, with
+    but con_t without ``emb_prev``; ``dis_only`` skips the link' and cross
+    rows, so con_prev and residual come back NaN). For pair (a, b) and
+    multiset J, with
     S = sum_{j in J} exp(s_aj), S' and e'_ab the same for f_prev, and
     R = sum_{j in J} exp(s'_aj) s_aj:
       link  = log(exp(s_ab) + S) - s_ab
@@ -125,8 +149,9 @@ def _stacked_terms(emb_t, labels, mass, k: int, emb_prev=None) -> np.ndarray:
     rows = max(1, _BLOCK // counts.shape[0])
     starts = np.searchsorted(trial, np.arange(labels.shape[0] + 1))
     buf = np.empty((1 if emb_prev is None else 4, min(rows, trial.size), len(counts)))
-    out = np.zeros((labels.shape[0], 4))
-    out[:, len(buf) :] = np.nan
+    folded = slice(0, len(buf), 2 if dis_only else 1)  # rows of buf summed into out columns
+    out = np.full((labels.shape[0], 4), np.nan)
+    out[:, folded] = 0.0
     anchor_row = trial * labels.shape[1] + anchors  # each pair's anchor row in the tables
     lo = 0
     while lo < trial.size:  # a block: whole trials while they fit, else part of one
@@ -141,21 +166,24 @@ def _stacked_terms(emb_t, labels, mass, k: int, emb_prev=None) -> np.ndarray:
         if emb_prev is not None:
             denom = p.sums[a]  # S', then e'_ab + S'
             r = cross_tab.take(a, 0, v[2], "clip")
-            np.multiply(denom, s_ab[sl], out=v[3])
-            v[3] -= r
+            if not dis_only:
+                np.multiply(denom, s_ab[sl], out=v[3])
+                v[3] -= r
             denom += e_ab_prev[sl]
-            np.log(denom, out=v[1])
-            v[1] += p.shift[a]
-            v[1] -= s_prev[sl]
             r += e_s[sl]  # then the CE
             r /= denom
             np.subtract(lse, r, out=r)
-            v[3] /= denom
+            if not dis_only:
+                v[3] /= denom
+                np.log(denom, out=v[1])
+                v[1] += p.shift[a]
+                v[1] -= s_prev[sl]
         lse -= s_ab[sl]
+        v = v[folded]
         for b in range(trial[lo], trial[sl.stop - 1] + 1):
             seg = slice(max(lo, starts[b]), min(sl.stop, starts[b + 1]))
             w_v = pair_w[seg] @ v[:, seg.start - lo : seg.stop - lo]
-            out[b, : len(v)] += (w_v[:, None] @ neg_w[b][:, None])[:, 0, 0]
+            out[b, folded] += (w_v[:, None] @ neg_w[b][:, None])[:, 0, 0]
         lo = sl.stop
     out[:, 3] = out[:, 2] - out[:, 0] - out[:, 3]
     return out
@@ -173,7 +201,7 @@ def population_distillation(
     k: int = 1,
 ) -> float:
     """Exact expected cross-entropy from f_prev's similarity softmax to f_t's."""
-    return _population_terms(f_t, dist, k, f_prev).dis
+    return _population_terms(f_t, dist, k, f_prev, dis_only=True).dis
 
 
 def decomposition_residual(
@@ -215,7 +243,7 @@ def population_test_loss(
     """Total performance of the final model: sum of per-task contrastive losses."""
     if not tasks:
         raise ValueError("need at least one task")
-    return float(sum(population_contrastive(f_final, d, k) for d in tasks))
+    return float(sum(_stacked_contrastive([f_final] * len(tasks), tasks, k)))
 
 
 @dataclass

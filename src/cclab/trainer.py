@@ -55,6 +55,22 @@ class Encoder:
     """
 
     def __init__(self, dims, activation: str = "tanh", seed: int = 0):
+        self._allocate(dims, activation)
+        rng = np.random.default_rng(seed)
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    @classmethod
+    def _from_params(cls, dims, activation: str, params: np.ndarray) -> "Encoder":
+        """An encoder holding a copy of ``params``, built without the random draw."""
+        enc = cls.__new__(cls)
+        enc._allocate(dims, activation)
+        enc.params[...] = params
+        return enc
+
+    def _allocate(self, dims, activation: str) -> None:
         dims = tuple(int(d) for d in dims)
         if len(dims) < 2:
             raise ValueError("need at least an input and an output width")
@@ -67,11 +83,6 @@ class Encoder:
         # per-layer views below stay valid
         self.params = np.empty(_param_count(dims))
         self.weights, self.biases = self._layers(self.params)
-        rng = np.random.default_rng(seed)
-        for w, b in zip(self.weights, self.biases):
-            bound = 1.0 / np.sqrt(w.shape[0])
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
-            b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     # -- parameter vector -------------------------------------------------
 
@@ -101,9 +112,7 @@ class Encoder:
         return self.params.size
 
     def copy(self) -> "Encoder":
-        clone = Encoder(self.dims, activation=self.activation)
-        clone.params[...] = self.params
-        return clone
+        return Encoder._from_params(self.dims, self.activation, self.params)
 
     # -- forward ----------------------------------------------------------
 
@@ -315,9 +324,8 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
         manifest.get("version"), manifest.get("dims")
     ) != (CHECKPOINT_VERSION, list(dims)):
         raise ValueError("checkpoint sidecar disagrees with the binary's version or dims")
-    enc = Encoder(dims, activation=manifest.get("activation", "tanh"))
-    enc.params[...] = np.frombuffer(blob, dtype="<f8", offset=offset)
-    return enc, manifest
+    params = np.frombuffer(blob, dtype="<f8", offset=offset)
+    return Encoder._from_params(dims, manifest.get("activation", "tanh"), params), manifest
 
 
 def fit_encoder_to_distribution(

@@ -10,11 +10,20 @@ import math
 
 import numpy as np
 
-from cclab.bounds import constants, random_distribution
+from cclab.bounds import (
+    BoundReport,
+    analytic_min_contrastive,
+    constants,
+    gamma,
+    random_distribution,
+)
 from cclab.core import (
+    MixtureWeights,
     TableModel,
     TaskDistribution,
+    mixture,
     negative_weights,
+    normalize_rows,
     positive_pairs,
     random_table_model,
 )
@@ -229,3 +238,119 @@ def trial_terms_reference(trials, k, seed, support_size=4, dimension=3, embed_di
         worst_lo = min(worst_lo, l_t - alpha * l_prev - l_dis - c.beta_prime)
         worst_res = max(worst_res, abs(residual))
     return np.array(terms), ((float(worst_up), float(worst_lo)), worst_res)
+
+
+class DictTableModel:
+    """core.TableModel as a dict from each point's bytes to its vector, as
+    it looked points up one row at a time with np.stack."""
+
+    def __init__(self, points, vectors):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        vectors = normalize_rows(np.atleast_2d(vectors))
+        self._table = {(p + 0.0).tobytes(): v for p, v in zip(points, vectors)}
+
+    def embed(self, points):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        try:
+            rows = [self._table[(p + 0.0).tobytes()] for p in points]
+        except KeyError:
+            raise KeyError("point not present in embedding table") from None
+        return np.stack(rows)
+
+
+def _eta_factor(alpha, T):
+    return (T - 1 - T * alpha + alpha**T) / (1.0 - alpha) ** 2
+
+
+def _per_task_lambdas(lam, T):
+    if np.isscalar(lam):
+        return [float(lam)] * (T - 1)
+    lams = [float(x) for x in lam]
+    if len(lams) != T - 1:
+        raise ValueError(f"need one coefficient per task 2..{T}, got {len(lams)}")
+    return lams
+
+
+def _theorem1_upper_reference(train_losses, weights, lam, k=1, minf=None,
+                              minf_mode="analytic"):
+    losses = [float(x) for x in train_losses]
+    T = len(losses)
+    if T < 2:
+        raise ValueError("bounds need at least two tasks")
+    if len(weights) != T - 1:
+        raise ValueError(f"need mixture weights for tasks 2..{T}")
+    lams = _per_task_lambdas(lam, T)
+    c = constants(k)
+    if minf is None:
+        minf = [analytic_min_contrastive(k)] * (T - 1)
+    minf = [float(x) for x in minf]
+    gammas, coeffs = [], [c.alpha ** (T - 1)]
+    eta = c.beta * _eta_factor(c.alpha, T)
+    value = coeffs[0] * losses[0]
+    for i, t in enumerate(range(2, T + 1)):
+        g, _ = gamma(t, lams[i], weights[i])
+        if g <= 0:
+            raise ValueError(
+                f"task {t}: coefficient {lams[i]} gives a zero denominator"
+            )
+        gammas.append(g)
+        w = c.alpha ** (T - t) / g
+        coeffs.append(w)
+        value += w * losses[i + 1]
+        eta += c.alpha ** (T - t) * (1.0 - 1.0 / g) * minf[i]
+    value += eta
+    return BoundReport(kind="upper", T=T, k=k, lambdas=lams, alpha=c.alpha, gammas=gammas,
+                       coefficients=coeffs, train_losses=losses, eta=eta, value=value,
+                       minf_mode=minf_mode, minf_values=minf)
+
+
+def _theorem1_lower_reference(train_losses, weights, lam, k=1):
+    losses = [float(x) for x in train_losses]
+    T = len(losses)
+    if T < 2:
+        raise ValueError("bounds need at least two tasks")
+    if len(weights) != T - 1:
+        raise ValueError(f"need mixture weights for tasks 2..{T}")
+    lams = _per_task_lambdas(lam, T)
+    c = constants(k)
+    gammas, coeffs = [], [c.alpha ** (T - 1)]
+    eta = c.beta_prime * _eta_factor(c.alpha, T)
+    value = coeffs[0] * losses[0]
+    for i, t in enumerate(range(2, T + 1)):
+        _, gp = gamma(t, lams[i], weights[i])
+        gammas.append(gp)
+        w = c.alpha ** (T - t) / gp
+        coeffs.append(w)
+        value += w * losses[i + 1]
+    value += eta
+    return BoundReport(kind="lower", T=T, k=k, lambdas=lams, alpha=c.alpha, gammas=gammas,
+                       coefficients=coeffs, train_losses=losses, eta=eta, value=value)
+
+
+# bounds.theorem1_upper and theorem1_lower as they were before they shared
+# their input checks and cached alpha powers, keyed by BoundReport.kind
+theorem1_reference = {"upper": _theorem1_upper_reference, "lower": _theorem1_lower_reference}
+
+
+def population_bound_check_reference(task_models, task_dists, lambdas, k=1, weights=None):
+    """continual.population_bound_check as one full _population_terms pass
+    per loss: each task's contrastive loss, each distillation loss and each
+    term of the realized test loss on its own, with theorem1_reference."""
+    T = len(task_models)
+    if weights is None:
+        weights = [
+            MixtureWeights(task_index=t, weights=np.full(t - 1, 1.0 / (t - 1)))
+            for t in range(2, T + 1)
+        ]
+    train_losses = [_population_terms(task_models[0], task_dists[0], k).con_t]
+    for i, t in enumerate(range(2, T + 1)):
+        past = mixture(task_dists[: t - 1], weights[i])
+        l_con = _population_terms(task_models[t - 1], task_dists[t - 1], k).con_t
+        l_dis = _population_terms(task_models[t - 1], past, k, task_models[t - 2]).dis
+        train_losses.append(l_con + lambdas[i] * l_dis)
+    upper = theorem1_reference["upper"](train_losses, weights, lambdas, k=k)
+    lower = theorem1_reference["lower"](train_losses, weights, lambdas, k=k)
+    realized = float(sum(_population_terms(task_models[-1], d, k).con_t for d in task_dists))
+    upper.realized_test_loss = realized
+    lower.realized_test_loss = realized
+    return upper, lower, realized

@@ -32,6 +32,7 @@ from cclab.losses import _stacked_terms, population_contrastive
 from tests.helpers import (
     gamma_reference,
     random_distribution_reference,
+    theorem1_reference,
     trial_terms_reference,
 )
 
@@ -352,6 +353,74 @@ class TestTheorem1:
     def test_needs_two_tasks(self):
         with pytest.raises(ValueError):
             theorem1_upper([1.0], [], 1.0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A report's JSON, or the type and message of what the call raised."""
+    try:
+        return fn(*args, **kwargs).to_json()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestTheorem1MatchesReference:
+    """Shared input checks and cached alpha powers leave every report's
+    bytes and every error as the evaluators had them."""
+
+    EVALUATORS = {"upper": theorem1_upper, "lower": theorem1_lower}
+
+    @staticmethod
+    def random_weights(rng, T):
+        return [MixtureWeights(t, rng.dirichlet(np.ones(t - 1))) for t in range(2, T + 1)]
+
+    def assert_same(self, kind, *args, **kwargs):
+        got = _outcome(self.EVALUATORS[kind], *args, **kwargs)
+        assert got == _outcome(theorem1_reference[kind], *args, **kwargs)
+        return got
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_grid_reports_byte_equal(self, k):
+        rng = np.random.default_rng(k)
+        for T in (2, 5, 8):
+            losses = list(rng.uniform(0.5, 4.0, size=T))
+            for weights in (uniform_weights(T), self.random_weights(rng, T)):
+                for lam in np.linspace(0.01, 20.0, 400):
+                    for kind in ("upper", "lower"):
+                        assert isinstance(self.assert_same(kind, losses, weights, lam, k), str)
+
+    def test_per_task_lambdas_and_minf_byte_equal(self):
+        rng = np.random.default_rng(11)
+        for T in (2, 4, 6):
+            weights = self.random_weights(rng, T)
+            for _ in range(50):
+                losses = rng.uniform(0.5, 4.0, size=T)  # an array, as callers may pass
+                lams = list(rng.uniform(0.0, 6.0, size=T - 1))
+                minf = list(rng.uniform(0.0, 1.0, size=T - 1))
+                for k in (1, 3):
+                    self.assert_same("lower", losses, weights, lams, k)
+                    self.assert_same("upper", losses, weights, lams, k)
+                    self.assert_same("upper", losses, weights, lams, k, minf, "optimized")
+
+    def test_error_paths_raise_as_before(self):
+        w3 = uniform_weights(3)
+        misplaced = [w3[0], MixtureWeights(4, np.full(3, 1 / 3))]  # task 3 gets task 4's
+        cases = [  # (arguments, kinds that raise)
+            (([1.0, 2.0, 3.0], misplaced, 1.0, 1), "upper lower"),  # wrong task index
+            (([1.0, 2.0, 3.0], w3, -0.5, 1), "upper lower"),  # negative coefficient
+            (([1.0, 2.0, 3.0], w3, [1.0, -2.0], 2), "upper lower"),
+            (([1.0, 2.0, 3.0], w3, 0.0, 1), "upper"),  # zero denominator
+            (([1.0, 2.0, 3.0], w3, [1.0, 0.0], 1), "upper"),
+            (([1.0], [], 1.0, 1), "upper lower"),  # T < 2
+            (([1.0, 2.0, 3.0], w3[:1], 1.0, 1), "upper lower"),  # one weight short
+            (([1.0, 2.0, 3.0], w3, [1.0, 2.0, 3.0], 1), "upper lower"),  # a coefficient too many
+            (([1.0, 2.0, 3.0], w3, 1.0, 0), "upper lower"),  # no negatives
+        ]
+        for args, raising in cases:
+            for kind in ("upper", "lower"):
+                got = self.assert_same(kind, *args)
+                assert (got[0] is ValueError) == (kind in raising.split())
+        assert "zero denominator" in self.assert_same("upper", *cases[3][0])[1]
+        assert "different task index" in self.assert_same("lower", *cases[0][0])[1]
 
 
 class TestComputeU:

@@ -159,6 +159,7 @@ class TestConfigHandling:
         ("probe", {"seed": -1}),
         ("sweep", dict(SMALL_TRAIN, seeds=[-1])),
         ("verify", {"support_size": 40, "ks": [40]}),  # C(79, 40) multisets
+        ("verify", {"ks": [171]}),  # 171! overflows float64
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)

@@ -17,10 +17,11 @@ from cclab.continual import (
     population_bound_check,
     run_sequence,
 )
-from cclab.core import ConstantModel, TaskDistribution
+from cclab.core import ConstantModel, MixtureWeights, TaskDistribution
 from cclab.data import make_blob_sequence
+from cclab.losses import population_test_loss
 from cclab.trainer import SgdConfig
-from tests.helpers import class_balanced_reference
+from tests.helpers import class_balanced_reference, population_bound_check_reference
 
 
 class TestReplayBuffer:
@@ -194,6 +195,37 @@ class TestPopulationBoundCheck:
         upper, lower, realized = population_bound_check(models, dists, lambdas)
         assert lower.value - 1e-9 <= realized <= upper.value + 1e-9
         assert upper.realized_test_loss == realized
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """A 4-task max-mode run: table snapshots on the joint support."""
+        tasks = make_blob_sequence(4, points_per_class=7, seed=2)
+        res = run_sequence(tasks, tiny_config(mode="max", epochs=5, seed=2))
+        dists = [t.train for t in tasks]
+        support = np.concatenate([d.points for d in dists])
+        models = [enc.snapshot(support) for enc in res.task_models]
+        return models, dists, [r.lam for r in res.trace.records[1:]]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("shape", ["uniform", "weighted", "unequal sizes"])
+    def test_matches_per_pass_reference(self, trained, k, shape):
+        models, dists, lambdas = trained
+        weights = None
+        if shape == "weighted":
+            rng = np.random.default_rng(k)
+            weights = [MixtureWeights(t, rng.dirichlet(np.ones(t - 1))) for t in range(2, 5)]
+        if shape == "unequal sizes":  # sizes n, n-1, n-2, n: two stacked, two alone
+            dists = [
+                TaskDistribution(d.points[: d.size - i % 3], d.labels[: d.size - i % 3],
+                                 d.mass[: d.size - i % 3] / d.mass[: d.size - i % 3].sum())
+                for i, d in enumerate(dists)
+            ]
+            assert len({d.size for d in dists}) == 3
+        got = population_bound_check(models, dists, lambdas, k, weights)
+        want = population_bound_check_reference(models, dists, lambdas, k, weights)
+        assert [r.to_json() for r in got[:2]] == [r.to_json() for r in want[:2]]
+        assert got[2].hex() == want[2].hex()
+        assert population_test_loss(models[-1], dists, k).hex() == want[2].hex()
 
     def test_input_validation(self):
         d = make_blob_sequence(1, points_per_class=6)[0].train

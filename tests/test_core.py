@@ -23,6 +23,7 @@ from cclab.core import (
     positive_pairs,
     random_table_model,
 )
+from tests.helpers import DictTableModel
 
 
 def two_class_dist():
@@ -242,6 +243,42 @@ class TestModels:
         m = TableModel(np.zeros((1, 2)), np.ones((1, 2)))
         with pytest.raises(KeyError):
             m.embed(np.ones((1, 2)))
+
+    @staticmethod
+    def assert_same_lookup(points, vectors, query):
+        got = TableModel(points, vectors).embed(query)
+        want = DictTableModel(points, vectors).embed(query)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_table_model_later_duplicate_wins(self):
+        pts = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
+        vecs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        np.testing.assert_array_equal(TableModel(pts, vecs).embed(pts[:1]), [[0.6, 0.8]])
+        self.assert_same_lookup(pts, vecs, pts)
+        self.assert_same_lookup(pts, vecs, pts[[2, 1, 0, 0]])
+
+    def test_table_model_signed_zero_matches_dict_form(self):
+        pts = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        vecs = np.array([[1.0, 2.0], [3.0, 4.0]])
+        self.assert_same_lookup(pts, vecs, np.array([[0.0, 1.0], [-0.0, 0.0], [-0.0, -0.0]]))
+
+    def test_table_model_missing_point_message(self):
+        pts = np.arange(6.0).reshape(3, 2)
+        for model in (TableModel(pts, pts + 1.0), DictTableModel(pts, pts + 1.0)):
+            with pytest.raises(KeyError, match="point not present in embedding table"):
+                model.embed(np.vstack([pts, [[9.0, 9.0]]]))
+
+    def test_table_model_one_dimensional_and_strided_queries(self):
+        rng = np.random.default_rng(2)
+        pts, vecs = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
+        self.assert_same_lookup(pts, vecs, pts[4])  # one point as a 1-D array
+        self.assert_same_lookup(pts, vecs, pts[::-2])  # a strided view
+        self.assert_same_lookup(pts, vecs, np.asfortranarray(pts))
+        strided = np.repeat(pts, 2, axis=1)[:, ::2]  # the same points, every other column
+        assert not strided.flags.c_contiguous
+        self.assert_same_lookup(pts, vecs, strided[1:4])
+        self.assert_same_lookup(np.asfortranarray(pts)[::-1], vecs, pts)
 
     def test_random_table_model_unit_rows(self):
         rng = np.random.default_rng(0)

@@ -251,6 +251,44 @@ class TestBlockedEvaluator:
                                  population_terms_reference(f_t, dist, k, prev))
 
 
+class TestTermSelectivePass:
+    """``dis_only`` skips link' and cross and leaves the CE column's bits."""
+
+    @staticmethod
+    def random_mixtures(rng, B, parts, n):
+        """B mixtures of ``parts`` random n-point distributions, stacked."""
+        mixes = []
+        for _ in range(B):
+            dists = [random_distribution(rng, n, 3, n_classes=3) for _ in range(parts)]
+            mixes.append(mixture(dists, MixtureWeights(parts + 1, rng.dirichlet(np.ones(parts)))))
+        models = [[random_table_model(d, 4, rng) for d in mixes] for _ in range(2)]
+        emb = [np.stack([f.embed(d.points) for f, d in zip(fs, mixes)]) for fs in models]
+        stack = [np.stack([getattr(d, a) for d in mixes]) for a in ("labels", "mass")]
+        return mixes, models, emb, stack
+
+    @pytest.mark.parametrize("block", [7, 300, 1 << 12, 1 << 15])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dis_column_matches_full_pass(self, monkeypatch, block, k):
+        monkeypatch.setattr(losses, "_BLOCK", block)
+        rng = np.random.default_rng(100 * k + block % 97)
+        for parts, n in ((1, 5), (2, 4), (3, 6)):
+            mixes, (f_t, f_p), emb, (labels, mass) = self.random_mixtures(rng, 3, parts, n)
+            full = losses._stacked_terms(emb[0], labels, mass, k, emb[1])
+            part = losses._stacked_terms(emb[0], labels, mass, k, emb[1], dis_only=True)
+            assert part[:, [0, 2]].tobytes() == full[:, [0, 2]].tobytes()
+            assert np.isnan(part[:, [1, 3]]).all()
+            for b, dist in enumerate(mixes):
+                got = population_distillation(f_t[b], f_p[b], dist, k)
+                assert got.hex() == float(full[b, 2]).hex()
+
+    def test_without_previous_model_only_link_is_computed(self):
+        rng = np.random.default_rng(3)
+        _, _, emb, (labels, mass) = self.random_mixtures(rng, 2, 2, 4)
+        full = losses._stacked_terms(emb[0], labels, mass, 2)
+        part = losses._stacked_terms(emb[0], labels, mass, 2, dis_only=True)
+        assert part.tobytes() == full.tobytes()
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_residual_vanishes(self, k):

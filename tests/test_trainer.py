@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab import trainer
 from cclab.core import NORM_TOL
 from cclab.trainer import (
     Encoder,
@@ -62,6 +63,37 @@ class TestEncoder:
         clone = enc.copy()
         clone.weights[0][:] = 0.0
         assert not np.array_equal(enc.weights[0], clone.weights[0])
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_seeded_initialisation_stream(self, activation):
+        dims = (3, 7, 5, 4)
+        rng = np.random.default_rng(12)
+        want = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            want.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel())
+            want.append(rng.uniform(-bound, bound, size=fan_out))
+        enc = Encoder(dims, activation, 12)
+        assert enc.params.tobytes() == np.concatenate(want).tobytes()
+
+    def test_copy_and_load_skip_the_random_draw(self, tmp_path, monkeypatch):
+        enc = Encoder((3, 6, 4), activation="relu", seed=4)
+        enc.params[::3] = -0.0
+        enc.params[1] = 5e-324
+        save_checkpoint(enc, tmp_path / "m.ckpt")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a random initialisation")
+
+        monkeypatch.setattr(trainer.np.random, "default_rng", no_draw)
+        clone, (loaded, _) = enc.copy(), load_checkpoint(tmp_path / "m.ckpt")
+        for other in (clone, loaded):
+            assert other.params.tobytes() == enc.params.tobytes()
+            assert (other.dims, other.activation) == (enc.dims, enc.activation)
+            for arr in other.weights + other.biases:
+                assert np.shares_memory(arr, other.params)
+        assert not np.shares_memory(clone.params, enc.params)
+        assert loaded.params.flags.writeable
 
     def test_input_dimension_checked(self):
         with pytest.raises(ValueError):
