@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    analytic_min_contrastive,
     constants,
     decomposition_check_trials,
     lemma1_trials,
@@ -28,7 +29,8 @@ from .bounds import (
     theorem1_upper,
     turning_point,
 )
-from .continual import RunConfig, linear_probe, run_sequence
+from .continual import DegenerateTraining, RunConfig, linear_probe, run_sequence
+from .core import MAX_K
 from .data import (
     ScenarioSpec,
     make_blob_sequence,
@@ -116,7 +118,6 @@ VERIFY_MINIMA = {
     "seed": 0,
 }
 MAX_TABLE_ENTRIES = 1 << 26  # most n * C(n+k-1, k) anchor-table entries verify accepts
-MAX_K = 170  # the largest k whose k! is finite in float64
 
 
 def cmd_verify(cfg: dict, out: Path) -> int:
@@ -316,6 +317,8 @@ def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
         weights = scenario_weights(spec)
         losses = scenario_train_losses(spec)
         constants(cfg["k"])  # a bad k would otherwise skip every grid point
+        if min(losses) < analytic_min_contrastive(cfg["k"]):  # the bound's premise
+            raise ValueError(f"training losses must be >= log(1 + k e^-2), got {min(losses)!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lam_star = turning_point(weights)
@@ -433,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg, out, args.grid)
         return cmd_sweep(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateTraining) as exc:  # the config's values give no run
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -133,6 +133,10 @@ class LambdaSchedule:
             )
 
 
+class DegenerateTraining(ValueError):
+    """A run whose data and batches left no contrastive loss to weigh against."""
+
+
 def adaptive_lambda(schedule: LambdaSchedule, t: int) -> float:
     """Coefficient for task ``t`` under the schedule's mode.
 
@@ -148,7 +152,7 @@ def adaptive_lambda(schedule: LambdaSchedule, t: int) -> float:
     if t == 2:
         return schedule.lam0
     if schedule.sum_con <= 0:
-        raise ValueError("degenerate training: accumulated contrastive loss is zero")
+        raise DegenerateTraining("degenerate training: accumulated contrastive loss is zero")
     r = schedule.kappa * schedule.sum_dis / schedule.sum_con
     if schedule.mode == "pure":
         return r
@@ -379,7 +383,7 @@ def population_bound_check(
     """
     from .bounds import theorem1_lower, theorem1_upper
     from .core import mixture
-    from .losses import _stacked_contrastive, population_distillation, population_test_loss
+    from .losses import _stacked_contrastive, population_distillation
 
     T = len(task_models)
     if T != len(task_dists) or T < 2:
@@ -391,7 +395,10 @@ def population_bound_check(
             MixtureWeights(task_index=t, weights=np.full(t - 1, 1.0 / (t - 1)))
             for t in range(2, T + 1)
         ]
-    train_losses = _stacked_contrastive(task_models, task_dists, k)
+    # one pass over (f_t, D_t) for every t and (f_T, D_t) for t < T
+    con = _stacked_contrastive([*task_models, *task_models[-1:] * (T - 1)],
+                               [*task_dists, *task_dists[:-1]], k)
+    train_losses, realized = con[:T], float(sum(con[T:] + con[T - 1 : T]))
     for i, t in enumerate(range(2, T + 1)):
         past = mixture(task_dists[: t - 1], weights[i])
         l_dis = population_distillation(
@@ -400,7 +407,6 @@ def population_bound_check(
         train_losses[t - 1] += lambdas[i] * l_dis
     upper = theorem1_upper(train_losses, weights, lambdas, k=k)
     lower = theorem1_lower(train_losses, weights, lambdas, k=k)
-    realized = population_test_loss(task_models[-1], task_dists, k)
     upper.realized_test_loss = realized
     lower.realized_test_loss = realized
     return upper, lower, realized

@@ -19,6 +19,7 @@ import numpy as np
 
 NORM_TOL = 1e-12
 MASS_TOL = 1e-12
+MAX_K = 170  # the most negatives: the largest k whose k! is finite in float64
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -189,10 +190,12 @@ def negative_multisets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     how often each point occurs in multiset J, and ``multiplicity[J]`` is
     the multinomial coefficient k! / prod_j counts[J, j]!, the number of
     ordered k-tuples that sort to J. Both arrays are cached per (n, k)
-    and read-only.
+    and read-only; k runs from 1 to ``MAX_K``.
     """
     if k < 1:
         raise ValueError("need at least one negative sample")
+    if k > MAX_K:
+        raise ValueError(f"at most {MAX_K} negative samples, got {k}")
     combos = np.array(
         list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64
     ).reshape(-1, k)

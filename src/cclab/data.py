@@ -133,6 +133,8 @@ class ScenarioSpec:
             raise ValueError("scenarios need at least two tasks")
         if self.rho <= 0:
             raise ValueError("loss ratio must be positive")
+        if self.weight_rule == "custom" and len(self.custom_weights) != self.T - 1:
+            raise ValueError(f"custom scenarios need weights for tasks 2..{self.T}")
 
 
 def example_weights(spec: ScenarioSpec, t: int) -> MixtureWeights:

@@ -20,14 +20,15 @@ for the tables plus one block of about 2^15 grid entries, not O(P * M).
 A pass takes a stack of same-size trials as arrays: bounds.lemma1_trials
 evaluates its random trials in stacked blocks, each bit-identical to a
 pass on it alone (acceptance criterion 1: 0.050 s, was 0.39 s, 2-core VM).
-population_bound_check and population_test_loss stack their contrastive
-passes by support size and population_distillation asks for the CE alone
-(``dis_only``): a trained 5-task check makes 6 passes, not 14, in 4.1-4.4 ms
-at k = 1 and 31 ms at k = 2, was 5.8-7.1 and 41-46 ms (same VM).
+population_bound_check runs its 2T - 1 distinct contrastive (model,
+distribution) pairs in one pass per support size and population_distillation
+asks for the CE alone (``dis_only``): a 5-task check makes 5 passes, not 14
+(k = 1: 3.6 ms, was 4.1 in 6 passes; k = 2: 29 ms, was 30; same VM, slow phase).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,56 +136,57 @@ def _stacked_terms(
     pair_w[seg] @ values @ neg_w[trial]: a trial sums as in a pass on it
     alone, and a trial of one block as a whole-grid pass.
     """
+    B, n = labels.shape
     counts, neg_w = stacked_negative_weights(mass, k)
     trial, anchors, positives, pair_w = stacked_positive_pairs(labels, mass)
+    anchor_row = trial * n + anchors if B > 1 else anchors  # each pair's row in the tables
     t = _anchor_tables(emb_t, counts)
-    s_ab = t.sims[trial, anchors, positives][:, None]
-    e_ab_t = t.ex[trial, anchors, positives][:, None]
+    s_ab = t.sims.reshape(-1, n)[anchor_row, positives][:, None]
+    e_ab_t = t.ex.reshape(-1, n)[anchor_row, positives][:, None]
     if emb_prev is not None:
         p = _anchor_tables(emb_prev, counts)
-        s_prev = p.sims[trial, anchors, positives][:, None]
-        e_ab_prev = p.ex[trial, anchors, positives][:, None]  # e'_ab
+        s_prev = p.sims.reshape(-1, n)[anchor_row, positives][:, None]
+        e_ab_prev = p.ex.reshape(-1, n)[anchor_row, positives][:, None]  # e'_ab
         e_s = e_ab_prev * s_ab
         cross_tab = ((p.ex * t.sims) @ counts.T).reshape(t.sums.shape)  # R per (anchor, J)
-    rows = max(1, _BLOCK // counts.shape[0])
-    starts = np.searchsorted(trial, np.arange(labels.shape[0] + 1))
-    buf = np.empty((1 if emb_prev is None else 4, min(rows, trial.size), len(counts)))
+    rows, P = max(1, _BLOCK // counts.shape[0]), trial.size
+    starts = [0, P] if B == 1 else np.searchsorted(trial, np.arange(B + 1)).tolist()
+    buf = np.empty((1 if emb_prev is None else 4, min(rows, P), len(counts)))
     folded = slice(0, len(buf), 2 if dis_only else 1)  # rows of buf summed into out columns
-    out = np.full((labels.shape[0], 4), np.nan)
+    out = np.full((B, 4), np.nan)
     out[:, folded] = 0.0
-    anchor_row = trial * labels.shape[1] + anchors  # each pair's anchor row in the tables
     lo = 0
-    while lo < trial.size:  # a block: whole trials while they fit, else part of one
-        fit = starts[np.searchsorted(starts, lo + rows, side="right") - 1]
-        sl = slice(lo, fit if fit > lo else lo + rows)
-        a = anchor_row[sl]
-        v = buf[:, : sl.stop - lo]  # the block's link, then link', CE and cross
+    while lo < P:  # a block: whole trials while they fit, else part of one
+        fit = starts[bisect.bisect_right(starts, lo + rows) - 1]
+        stop = fit if fit > lo else lo + rows
+        a = anchor_row[lo:stop]
+        v = buf[:, : stop - lo]  # the block's link, then link', CE and cross
         lse = t.sums.take(a, 0, v[0], "clip")
-        lse += e_ab_t[sl]  # log(exp(s_ab) + S), shifted back, then the link
+        lse += e_ab_t[lo:stop]  # log(exp(s_ab) + S), shifted back, then the link
         np.log(lse, out=lse)
         lse += t.shift[a]
         if emb_prev is not None:
             denom = p.sums[a]  # S', then e'_ab + S'
             r = cross_tab.take(a, 0, v[2], "clip")
             if not dis_only:
-                np.multiply(denom, s_ab[sl], out=v[3])
+                np.multiply(denom, s_ab[lo:stop], out=v[3])
                 v[3] -= r
-            denom += e_ab_prev[sl]
-            r += e_s[sl]  # then the CE
+            denom += e_ab_prev[lo:stop]
+            r += e_s[lo:stop]  # then the CE
             r /= denom
             np.subtract(lse, r, out=r)
             if not dis_only:
                 v[3] /= denom
                 np.log(denom, out=v[1])
                 v[1] += p.shift[a]
-                v[1] -= s_prev[sl]
-        lse -= s_ab[sl]
+                v[1] -= s_prev[lo:stop]
+        lse -= s_ab[lo:stop]
         v = v[folded]
-        for b in range(trial[lo], trial[sl.stop - 1] + 1):
-            seg = slice(max(lo, starts[b]), min(sl.stop, starts[b + 1]))
-            w_v = pair_w[seg] @ v[:, seg.start - lo : seg.stop - lo]
+        for b in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, stop)):
+            seg0, seg1 = max(lo, starts[b]), min(stop, starts[b + 1])
+            w_v = pair_w[seg0:seg1] @ v[:, seg0 - lo : seg1 - lo]
             out[b, folded] += (w_v[:, None] @ neg_w[b][:, None])[:, 0, 0]
-        lo = sl.stop
+        lo = stop
     out[:, 3] = out[:, 2] - out[:, 0] - out[:, 3]
     return out
 

@@ -2,6 +2,7 @@
 properties on random models, and the scheduler quantities on hand-worked
 examples."""
 
+import fractions
 import json
 import math
 
@@ -421,6 +422,43 @@ class TestTheorem1MatchesReference:
                 assert (got[0] is ValueError) == (kind in raising.split())
         assert "zero denominator" in self.assert_same("upper", *cases[3][0])[1]
         assert "different task index" in self.assert_same("lower", *cases[0][0])[1]
+
+    def test_first_fault_wins_as_before(self):
+        # tasks are checked in order, and within a task the index before the sign
+        w3 = uniform_weights(3)
+        misplaced = [w3[0], MixtureWeights(4, np.full(3, 1 / 3))]  # task 3 gets task 4's
+        losses = [1.0, 2.0, 3.0]
+        cases = [  # (arguments, what upper reports, what lower reports)
+            ((losses, misplaced, [0.0, 1.0], 1), "zero denominator", "different task index"),
+            ((losses, misplaced, [-1.0, 1.0], 1), "non-negative", "non-negative"),
+            ((losses, misplaced, [1.0, -1.0], 1), "different task index", "different task index"),
+            ((losses, w3, [0.0, -1.0], 1), "zero denominator", "non-negative"),
+            ((losses, w3[::-1], -1.0, 1), "different task index", "different task index"),
+            ((losses, misplaced, [1.0] * 3, 1), "coefficient per task", "coefficient per task"),
+            ((losses, misplaced, 1.0, 0), "negative sample", "negative sample"),
+        ]
+        for args, upper, lower in cases:
+            assert upper in self.assert_same("upper", *args)[1]
+            assert lower in self.assert_same("lower", *args)[1]
+        # a short minf list fails only where it is read, after earlier tasks' checks
+        short = [0.1]
+        got = self.assert_same("upper", losses, misplaced, 1.0, 1, short)
+        assert "different task index" in got[1]
+        assert self.assert_same("upper", losses, w3, 1.0, 1, short)[0] is IndexError
+        assert "zero denominator" in self.assert_same("upper", losses, w3, 0.0, 1, short)[1]
+
+    @pytest.mark.parametrize("lam", [
+        2, True, np.float64(0.7), np.int64(3), np.array(0.7), fractions.Fraction(1, 3),
+    ], ids=["int", "bool", "float64", "int64", "0-d array", "Fraction"])
+    def test_scalar_lambda_types(self, lam):
+        # np.isscalar decides: a 0-d array is not a scalar, so it is iterated and fails
+        rng = np.random.default_rng(5)
+        for T in (2, 5):
+            losses = list(rng.uniform(0.5, 4.0, size=T))
+            for weights in (uniform_weights(T), self.random_weights(rng, T)):
+                for kind in ("upper", "lower"):
+                    got = self.assert_same(kind, losses, weights, lam, 2)
+                    assert isinstance(got, str) != isinstance(lam, np.ndarray)
 
 
 class TestComputeU:

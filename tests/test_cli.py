@@ -109,6 +109,45 @@ def invalid_configs(command):
     )
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# small valid-typed values per key: every shape key is always given, so a
+# run stays at <= 3 tasks and <= 2 epochs; the others are drawn or default
+_TRAIN_SHAPE = {
+    "tasks": st.integers(1, 3), "classes_per_task": st.integers(1, 3),
+    "points_per_class": st.integers(2, 4), "d_in": st.integers(2, 3),
+    "epochs": st.integers(1, 2), "probe_epochs": st.integers(1, 2),
+    "hidden": st.integers(1, 6), "embed_dim": st.integers(1, 4),
+}
+_TRAIN_OPTIONAL = {
+    "data_seed": st.integers(0, 5), "seed": st.integers(0, 5),
+    "mode": st.sampled_from(["fixed", "pure", "min", "max", "theorem2"]),
+    "lam0": _floats(0.0, 4.0), "kappa": _floats(0.0, 4.0),
+    "buffer_size": st.integers(0, 12), "lr": _floats(0.0, 0.5),
+    "batch_size": st.integers(1, 12), "momentum": _floats(0.0, 0.99),
+    "tau_contrastive": _floats(0.01, 2.0), "tau_distill_current": _floats(0.01, 2.0),
+    "tau_distill_past": _floats(0.01, 2.0),
+}
+VALID_CONFIGS = {
+    "train": st.fixed_dictionaries(_TRAIN_SHAPE, optional=_TRAIN_OPTIONAL),
+    "probe": st.fixed_dictionaries(_TRAIN_SHAPE, optional=_TRAIN_OPTIONAL),
+    "bounds": st.fixed_dictionaries({}, optional={
+        "scenario": st.sampled_from(["example1", "example2", "example3", "custom"]),
+        "T": st.integers(1, 8), "rho": _floats(-2.0, 4.0), "base_loss": _floats(-1.0, 5.0),
+        "loss_rule": st.sampled_from(["equal", "geometric", "measured"]),
+        "k": st.integers(0, 12),
+    }),
+    "verify": st.fixed_dictionaries(
+        {"trials": st.integers(1, 4), "grad_seeds": st.integers(0, 1),
+         "ks": st.lists(st.integers(1, 4), min_size=1, max_size=2)},
+        optional={"seed": st.integers(0, 5), "support_size": st.integers(1, 5),
+                  "dimension": st.integers(1, 3), "embed_dim": st.integers(1, 3)},
+    ),
+}
+
+
 class TestConfigHandling:
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"no_such_option": 1})
@@ -160,6 +199,10 @@ class TestConfigHandling:
         ("sweep", dict(SMALL_TRAIN, seeds=[-1])),
         ("verify", {"support_size": 40, "ks": [40]}),  # C(79, 40) multisets
         ("verify", {"ks": [171]}),  # 171! overflows float64
+        ("bounds", {"scenario": "custom"}),  # no key supplies custom weights
+        ("bounds", {"base_loss": 0.0}),  # below log(1 + k e^-2): the bound rises in lambda
+        ("bounds", {"k": 20}),  # log(1 + 20 e^-2) > the default base_loss
+        ("train", dict(SMALL_TRAIN, tasks=3, batch_size=1)),  # no contrastive loss to weigh
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -183,6 +226,22 @@ class TestConfigHandling:
             assert code == EXIT_CONFIG, config
             assert "Traceback" not in err
             assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+        run()
+
+    @pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+    def test_fuzzed_valid_config_exits_cleanly(self, tmp_path, capsys, command):
+        # well-typed configs of small shapes either run or are rejected as
+        # bad values or unreadable files, never with a traceback
+        @given(config=VALID_CONFIGS[command])
+        @settings(max_examples=20, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        def run(config):
+            cfg = write_config(tmp_path, "valid.json", config)
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            captured = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), config
+            assert "Traceback" not in captured.out + captured.err
 
         run()
 

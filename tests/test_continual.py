@@ -17,7 +17,8 @@ from cclab.continual import (
     population_bound_check,
     run_sequence,
 )
-from cclab.core import ConstantModel, MixtureWeights, TaskDistribution
+from cclab import losses
+from cclab.core import ConstantModel, MixtureWeights, TableModel, TaskDistribution
 from cclab.data import make_blob_sequence
 from cclab.losses import population_test_loss
 from cclab.trainer import SgdConfig
@@ -226,6 +227,25 @@ class TestPopulationBoundCheck:
         assert [r.to_json() for r in got[:2]] == [r.to_json() for r in want[:2]]
         assert got[2].hex() == want[2].hex()
         assert population_test_loss(models[-1], dists, k).hex() == want[2].hex()
+
+    def test_one_contrastive_pass_per_check(self, monkeypatch):
+        # T = 5 equal-size tasks: one stacked pass for the 2T - 1 distinct
+        # contrastive terms, then one distillation pass per task 2..T
+        tasks = make_blob_sequence(5, points_per_class=3, seed=4)
+        dists = [t.train for t in tasks]
+        support = np.concatenate([d.points for d in dists])
+        rng = np.random.default_rng(4)
+        models = [TableModel(support, rng.standard_normal((len(support), 3))) for _ in tasks]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return stacked_terms(*args, **kwargs)
+
+        stacked_terms = losses._stacked_terms
+        monkeypatch.setattr(losses, "_stacked_terms", counted)
+        population_bound_check(models, dists, [1.0] * 4)
+        assert calls == [9, 1, 1, 1, 1]
 
     def test_input_validation(self):
         d = make_blob_sequence(1, points_per_class=6)[0].train

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclab.core import (
+    MAX_K,
     ConstantModel,
     MixtureWeights,
     TableModel,
@@ -218,6 +220,17 @@ class TestOutcomeSpace:
             negative_multisets(2, 0)
         with pytest.raises(ValueError):
             negative_weights(two_class_dist(), 0)
+
+    def test_k_above_max_rejected_before_any_work(self):
+        # 171! overflows float64; the check comes before any table or factorial
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at most {MAX_K} negative samples, got 171"):
+            negative_multisets(1, MAX_K + 1)
+        with pytest.raises(ValueError, match="at most"):
+            negative_weights(two_class_dist(), MAX_K + 1)
+        assert time.perf_counter() - start < 0.5
+        counts, multiplicity = negative_multisets(1, MAX_K)  # one multiset, once
+        assert counts.tolist() == [[float(MAX_K)]] and multiplicity.tolist() == [1.0]
 
 
 class TestModels:
