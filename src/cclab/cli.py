@@ -397,6 +397,8 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 def _sweep_cell_safe(cell: dict):
     try:
         return _sweep_cell(cell)
+    except DegenerateTraining:  # a config fault: main reports it, as for train
+        raise
     except Exception as exc:  # recorded per cell, surfaced via exit code
         return f"{type(exc).__name__}: {exc}"
 

@@ -10,9 +10,7 @@ share across threads.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +72,12 @@ class TaskDistribution:
         n = points.shape[0]
         if labels.shape != (n,) or mass.shape != (n,):
             raise ValueError("points, labels and mass must have matching lengths")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
         if np.any(mass < 0):
             raise ValueError("point masses must be non-negative")
-        if abs(mass.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"point masses must sum to 1, got {mass.sum()!r}")
+        if not abs(mass.sum() - 1.0) <= MASS_TOL:  # a NaN or infinite mass fails too
+            raise ValueError(f"point masses must be finite and sum to 1, got {mass.sum()!r}")
         for c in np.unique(labels):
             if mass[labels == c].sum() <= 0:
                 raise ValueError(f"class {c} has zero total mass")
@@ -183,29 +183,44 @@ def mixture(dists: list[TaskDistribution], w: MixtureWeights) -> TaskDistributio
 
 
 @functools.lru_cache(maxsize=64)
+def _multiset_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, k) index rows in combinations_with_replacement order and their
+    exact integer multinomials, as float: each row extends by every index
+    from its last on, and its multinomial grows by size / run length."""
+    rows, run = np.arange(n)[:, None], np.ones(n, dtype=np.int64)  # run: repeats of the last
+    mult = np.ones(n, dtype=np.int64 if k <= 20 else object)  # 20! fits int64
+    for size in range(2, k + 1):
+        last = rows[:, -1]
+        parent = np.repeat(np.arange(len(rows)), n - last)
+        new = np.arange(len(parent)) - np.repeat(np.cumsum(n - last) - n, n - last)  # last..n-1
+        run = np.where(new == last[parent], run[parent] + 1, 1)
+        mult = mult[parent] * size // run
+        rows = np.column_stack([rows[parent], new])
+    mult = mult.astype(np.float64)
+    mult.setflags(write=False)
+    return rows, mult
+
+
 def negative_multisets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The C(n+k-1, k) multisets of k negatives from an n-point support.
 
     Returns (counts, multiplicity): row J of the (M, n) ``counts`` says
     how often each point occurs in multiset J, and ``multiplicity[J]`` is
     the multinomial coefficient k! / prod_j counts[J, j]!, the number of
-    ordered k-tuples that sort to J. Both arrays are cached per (n, k)
-    and read-only; k runs from 1 to ``MAX_K``.
+    ordered k-tuples that sort to J. Only the (M, k) index rows and the
+    multiplicities are cached per (n, k), O(k * M) bytes; the counts are
+    formed from the index rows on each call, in one scatter-add. Both
+    arrays are read-only; k runs from 1 to ``MAX_K``.
     """
     if k < 1:
         raise ValueError("need at least one negative sample")
     if k > MAX_K:
         raise ValueError(f"at most {MAX_K} negative samples, got {k}")
-    combos = np.array(
-        list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64
-    ).reshape(-1, k)
-    counts = np.zeros((combos.shape[0], n))
-    np.add.at(counts, (np.arange(combos.shape[0])[:, None], combos), 1.0)
-    factorials = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.float64)
-    multiplicity = factorials[k] / factorials[counts.astype(np.int64)].prod(axis=1)
+    rows, multiplicity = _multiset_rows(n, k)
+    counts = np.zeros((n, len(rows)))  # laid out so that counts.T is C-contiguous for BLAS
+    np.add.at(counts.ravel(), rows * len(rows) + np.arange(len(rows))[:, None], 1.0)
     counts.setflags(write=False)
-    multiplicity.setflags(write=False)
-    return counts, multiplicity
+    return counts.T, multiplicity
 
 
 def negative_weights(dist: TaskDistribution, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,17 +249,24 @@ def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.n
     pair weight is mu(c) * D_c(x) * D_c(x+) = mass(x) * mass(x+) / mu(c).
     Identical-point pairs are included.
     """
-    return stacked_positive_pairs(dist.labels[None], dist.mass[None])[1:]
+    order, _, rows, positives, weights = stacked_positive_pairs(dist.labels[None], dist.mass[None])
+    return order[rows], positives, weights
 
 
 def stacked_positive_pairs(labels: np.ndarray, mass: np.ndarray):
-    """positive_pairs of (B, n) labels and masses: (trial, anchors, positives, weights)."""
-    order = np.argsort(labels, axis=1, kind="stable")  # class by class, in index order
-    ranked, m = (x[np.arange(len(x))[:, None], order] for x in (labels, mass))
+    """positive_pairs of (B, n) labels and masses, class by class: (order,
+    trial, rows, positives, weights). Row trial * n + r is the trial's r-th
+    point in class order, at flat index order[row]; pair p's anchor is row rows[p]."""
+    B, n = labels.shape
+    base = np.arange(0, B * n, n)[:, None]  # each trial's first flat index
+    order = (np.argsort(labels, axis=1, kind="stable") + base).ravel()
+    ranked, m = labels.take(order).reshape(B, n), mass.take(order)
     same = ranked[:, :, None] == ranked[:, None, :]
-    mu = np.cumsum(np.where(same, m[:, None], 0.0), axis=2)[..., -1]  # summed in index order
+    cls = (same.argmax(axis=2) + base).ravel()  # each row's class, named by its first row
+    mu = np.bincount(cls, weights=m)[cls]  # summed in index order
     trial, a, b = np.nonzero(same)
-    return trial, order[trial, a], order[trial, b], m[trial, a] * m[trial, b] / mu[trial, a]
+    rows, b = trial * n + a, order[trial * n + b]  # the positive's flat index
+    return order, trial, rows, b - (rows - a), m[rows] * mass.take(b) / mu[rows]
 
 
 class EmbeddingModel:

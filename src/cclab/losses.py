@@ -15,15 +15,15 @@ multisets of :func:`core.negative_weights` and folded into per-anchor
 tables; every loss is then evaluated on the (pair, multiset) grid, which
 is walked in blocks of consecutive pairs. Time is O(n^2 * M + P * M) per
 pass, where P is the number of same-class ordered pairs, against
-O(P * n^k) for enumerating ordered tuples. Working memory is O(n * M)
-for the tables plus one block of about 2^15 grid entries, not O(P * M).
-A pass takes a stack of same-size trials as arrays: bounds.lemma1_trials
-evaluates its random trials in stacked blocks, each bit-identical to a
-pass on it alone (acceptance criterion 1: 0.050 s, was 0.39 s, 2-core VM).
-population_bound_check runs its 2T - 1 distinct contrastive (model,
-distribution) pairs in one pass per support size and population_distillation
-asks for the CE alone (``dis_only``): a 5-task check makes 5 passes, not 14
-(k = 1: 3.6 ms, was 4.1 in 6 passes; k = 2: 29 ms, was 30; same VM, slow phase).
+O(P * n^k) for enumerating ordered tuples. Working memory is the pass's
+(M, n) multiset counts plus the tables of one chunk of about 2^15 / M
+anchors and one block of about 2^15 grid entries: a k = 2 distillation
+pass on a 64-point mixture peaks at 2.8 MiB (tracemalloc), against 4.7
+MiB with whole (n, M) tables. A pass takes a stack of same-size trials,
+each bit-identical to a pass on it alone: bounds.lemma1_trials evaluates
+its random trials in stacked blocks, and population_bound_check its
+2T - 1 contrastive (model, distribution) pairs in one pass per support
+size, with population_distillation asking for the CE alone (``dis_only``).
 """
 
 from __future__ import annotations
@@ -51,26 +51,15 @@ def logistic_link(v: np.ndarray) -> float:
     return m + np.log(np.exp(-m) + np.sum(np.exp(-v - m)))
 
 
-class _AnchorTables(NamedTuple):
-    """One model's similarities on the support, with the negatives folded in.
-
-    ``ex[a, j] = exp(s_aj - shift_a)`` is max-shifted per anchor row and
-    ``sums[a, J] = sum_{j in J} ex[a, j]`` (with multiplicity) is the
-    shifted negative sum of anchor a against multiset J.
-    """
-
-    sims: np.ndarray  # (n, n), or (B, n, n) for B trials: s_aj = f(x_a)'f(x_j)
-    shift: np.ndarray  # (B*n, 1) row max of sims, a row per anchor of each trial
-    ex: np.ndarray  # shaped as sims
-    sums: np.ndarray  # (B*n, M)
-
-
-def _anchor_tables(emb: np.ndarray, counts: np.ndarray) -> _AnchorTables:
-    sims = emb @ emb.swapaxes(-1, -2)
-    shift = sims.max(axis=-1, keepdims=True)
-    ex = np.exp(sims - shift)
-    sums = (ex @ counts.T).reshape(-1, len(counts))
-    return _AnchorTables(sims, shift.reshape(-1, 1), ex, sums)
+def _anchor_tables(emb: np.ndarray, order: np.ndarray, ex: np.ndarray):
+    """(sims, shift) of (B, n, e) embeddings, (B*n, n) and (B*n, 1), with one
+    row per anchor in class-ranked order (the rows of stacked_positive_pairs)
+    and one column per point: sims[r, j] = f(x_a)'f(x_j) for the anchor a of
+    row r, shifted by its row max into ``ex[r, j] = exp(s_rj - shift_r)``."""
+    sims = (emb @ emb.swapaxes(-1, -2)).reshape(-1, emb.shape[-2]).take(order, 0)
+    shift = sims.max(axis=1, keepdims=True)
+    np.exp(np.subtract(sims, shift, out=ex), out=ex)
+    return sims, shift
 
 
 class _PopulationTerms(NamedTuple):
@@ -134,40 +123,56 @@ def _stacked_terms(
     positive_pairs order, are walked in blocks of at most ``_BLOCK // M``
     that split only a longer trial, and each trial's segment is folded as
     pair_w[seg] @ values @ neg_w[trial]: a trial sums as in a pass on it
-    alone, and a trial of one block as a whole-grid pass.
+    alone, and a trial of one block as a whole-grid pass. S, S' and R are
+    built a chunk of anchors at a time, in class-ranked rows: whole trials
+    while they fit, else part of one from a block's first anchor on.
     """
     B, n = labels.shape
     counts, neg_w = stacked_negative_weights(mass, k)
-    trial, anchors, positives, pair_w = stacked_positive_pairs(labels, mass)
-    anchor_row = trial * n + anchors if B > 1 else anchors  # each pair's row in the tables
-    t = _anchor_tables(emb_t, counts)
-    s_ab = t.sims.reshape(-1, n)[anchor_row, positives][:, None]
-    e_ab_t = t.ex.reshape(-1, n)[anchor_row, positives][:, None]
+    order, trial, anchor_row, positives, pair_w = stacked_positive_pairs(labels, mass)
+    fold = np.empty((1 if emb_prev is None else 3, B * n, n))  # summed over J into S, S', R
+    sims, shift = _anchor_tables(emb_t, order, fold[0])
+    s_ab = sims[anchor_row, positives][:, None]
+    e_ab_t = fold[0][anchor_row, positives][:, None]
     if emb_prev is not None:
-        p = _anchor_tables(emb_prev, counts)
-        s_prev = p.sims.reshape(-1, n)[anchor_row, positives][:, None]
-        e_ab_prev = p.ex.reshape(-1, n)[anchor_row, positives][:, None]  # e'_ab
+        sims_p, shift_p = _anchor_tables(emb_prev, order, fold[1])
+        s_prev = sims_p[anchor_row, positives][:, None]
+        e_ab_prev = fold[1][anchor_row, positives][:, None]  # e'_ab
         e_s = e_ab_prev * s_ab
-        cross_tab = ((p.ex * t.sims) @ counts.T).reshape(t.sums.shape)  # R per (anchor, J)
-    rows, P = max(1, _BLOCK // counts.shape[0]), trial.size
+        np.multiply(fold[1], sims, out=fold[2])
+    rows, P, M = max(1, _BLOCK // len(counts)), trial.size, len(counts)
     starts = [0, P] if B == 1 else np.searchsorted(trial, np.arange(B + 1)).tolist()
-    buf = np.empty((1 if emb_prev is None else 4, min(rows, P), len(counts)))
+    buf = np.empty((1 if emb_prev is None else 3 if dis_only else 4, min(rows, P), M))
+    whole = n <= rows  # chunks of whole trials, else of part of one trial
+    chunk = min((rows // n + 1) * n, B * n) if whole else rows  # holds a block's anchors
+    lead = (len(fold), -1, n) if whole else (-1,)  # a product per trial and table, else one
+    tabs_buf = np.empty(len(fold) * chunk * M)
     folded = slice(0, len(buf), 2 if dis_only else 1)  # rows of buf summed into out columns
     out = np.full((B, 4), np.nan)
-    out[:, folded] = 0.0
-    lo = 0
+    acc = out[:, folded]  # the columns each trial's segments sum into
+    acc[:] = 0.0
+    neg_w = neg_w[:, :, None]
+    lo = c1 = 0
     while lo < P:  # a block: whole trials while they fit, else part of one
         fit = starts[bisect.bisect_right(starts, lo + rows) - 1]
         stop = fit if fit > lo else lo + rows
-        a = anchor_row[lo:stop]
-        v = buf[:, : stop - lo]  # the block's link, then link', CE and cross
-        lse = t.sums.take(a, 0, v[0], "clip")
+        if anchor_row[stop - 1] >= c1:  # the next chunk of tables, from the block's anchors on
+            c0 = int(anchor_row[lo])
+            c0 -= c0 % n if whole else 0
+            c1 = min(c0 + chunk, B * n if whole else c0 - c0 % n + n)
+            tabs = tabs_buf[: len(fold) * (c1 - c0) * M]
+            np.matmul(fold[:, c0:c1].reshape(*lead, n), counts.T, out=tabs.reshape(*lead, M))
+            tabs = tabs.reshape(len(fold), -1, M)
+        g = anchor_row[lo:stop]
+        a = g - c0
+        v = buf[:, : stop - lo]  # the block's link, then link' (first S'), CE and cross
+        lse = tabs[0].take(a, 0, v[0], "clip")
         lse += e_ab_t[lo:stop]  # log(exp(s_ab) + S), shifted back, then the link
         np.log(lse, out=lse)
-        lse += t.shift[a]
+        lse += shift[g]
         if emb_prev is not None:
-            denom = p.sums[a]  # S', then e'_ab + S'
-            r = cross_tab.take(a, 0, v[2], "clip")
+            denom = tabs[1].take(a, 0, v[1], "clip")  # S', then e'_ab + S'
+            r = tabs[2].take(a, 0, v[2], "clip")
             if not dis_only:
                 np.multiply(denom, s_ab[lo:stop], out=v[3])
                 v[3] -= r
@@ -177,15 +182,16 @@ def _stacked_terms(
             np.subtract(lse, r, out=r)
             if not dis_only:
                 v[3] /= denom
-                np.log(denom, out=v[1])
-                v[1] += p.shift[a]
-                v[1] -= s_prev[lo:stop]
+                np.log(denom, out=denom)
+                denom += shift_p[g]
+                denom -= s_prev[lo:stop]
         lse -= s_ab[lo:stop]
         v = v[folded]
-        for b in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, stop)):
-            seg0, seg1 = max(lo, starts[b]), min(stop, starts[b + 1])
+        i0, i1 = bisect.bisect_right(starts, lo), bisect.bisect_left(starts, stop)
+        edges = [lo, *starts[i0:i1], stop]  # the block's segment of each trial
+        for b, seg0, seg1 in zip(range(i0 - 1, i1), edges, edges[1:]):
             w_v = pair_w[seg0:seg1] @ v[:, seg0 - lo : seg1 - lo]
-            out[b, folded] += (w_v[:, None] @ neg_w[b][:, None])[:, 0, 0]
+            acc[b] += (w_v[:, None] @ neg_w[b])[:, 0, 0]
         lo = stop
     out[:, 3] = out[:, 2] - out[:, 0] - out[:, 3]
     return out

@@ -26,7 +26,10 @@ from cclab.core import (
     normalize_rows,
     positive_pairs,
     random_table_model,
+    stacked_negative_weights,
+    stacked_positive_pairs,
 )
+from cclab import losses
 from cclab.losses import _population_terms
 
 
@@ -186,6 +189,92 @@ def population_terms_reference(f_t, dist, k, f_prev=None):
     dis = expect(lse - (e_ab * s_ab + cross_sums) / denom)
     cross = expect((s_ab * sums_prev - cross_sums) / denom)
     return con_t, con_prev, dis, dis - con_t - cross
+
+
+def negative_multisets_reference(n, k):
+    """core.negative_multisets as it was built before it cached index rows:
+    the combinations_with_replacement tuples as a Python list, np.add.at
+    into dense (M, n) counts, and multiplicities k! / prod_j counts_j! from
+    float64 factorials."""
+    combos = np.array(
+        list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64
+    ).reshape(-1, k)
+    counts = np.zeros((combos.shape[0], n))
+    np.add.at(counts, (np.arange(combos.shape[0])[:, None], combos), 1.0)
+    factorials = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.float64)
+    multiplicity = factorials[k] / factorials[counts.astype(np.int64)].prod(axis=1)
+    return counts, multiplicity
+
+
+def positive_pairs_reference(dist):
+    """core.positive_pairs as it found each class's mass before it summed
+    them with np.bincount: a masked cumulative sum over the class-ranked
+    points, each class summed in index order."""
+    order = np.argsort(dist.labels, kind="stable")
+    ranked, m = dist.labels[order], dist.mass[order]
+    same = ranked[:, None] == ranked[None, :]
+    mu = np.cumsum(np.where(same, m[None], 0.0), axis=1)[:, -1]
+    a, b = np.nonzero(same)
+    return order[a], order[b], m[a] * m[b] / mu[a]
+
+
+def stacked_terms_reference(emb_t, labels, mass, k, emb_prev=None):
+    """losses._stacked_terms as it walked the (pair, multiset) grid before
+    it built its tables a chunk of anchors at a time: whole (B*n, M) tables
+    in index order, the same blocks of ``losses._BLOCK // M`` pairs and the
+    same per-trial fold, so each term has the same bits at k <= 2, where a
+    table entry sums at most two nonzero terms in any order."""
+    B, n = labels.shape
+    counts, neg_w = stacked_negative_weights(mass, k)
+    order, trial, rows, positives, pair_w = stacked_positive_pairs(labels, mass)
+    anchor_row = order[rows]  # the anchor's own row, in index order
+
+    def tables(emb):
+        sims = (emb @ emb.swapaxes(-1, -2)).reshape(-1, n)
+        shift = sims.max(axis=1, keepdims=True)
+        ex = np.exp(sims - shift)
+        return sims, shift, ex, ex.reshape(B, n, n) @ counts.T
+
+    sims, shift, ex, sums = tables(emb_t)
+    sums = sums.reshape(-1, len(counts))
+    s_ab = sims[anchor_row, positives][:, None]
+    e_ab = ex[anchor_row, positives][:, None]
+    out = np.full((B, 4), np.nan)
+    cols = [0] if emb_prev is None else [0, 1, 2, 3]
+    out[:, cols] = 0.0
+    if emb_prev is not None:
+        sims_p, shift_p, ex_p, sums_p = tables(emb_prev)
+        sums_p = sums_p.reshape(-1, len(counts))
+        cross_tab = ((ex_p * sims).reshape(B, n, n) @ counts.T).reshape(-1, len(counts))
+        s_prev = sims_p[anchor_row, positives][:, None]
+        e_ab_p = ex_p[anchor_row, positives][:, None]
+    per_block = max(1, losses._BLOCK // len(counts))
+    starts = np.searchsorted(trial, np.arange(B + 1)).tolist()
+    lo = 0
+    while lo < trial.size:
+        fit = max(s for s in starts if s <= lo + per_block)
+        stop = fit if fit > lo else lo + per_block
+        a = anchor_row[lo:stop]
+        lse = np.log(sums[a] + e_ab[lo:stop]) + shift[a]
+        values = [lse - s_ab[lo:stop]]
+        if emb_prev is not None:
+            denom = sums_p[a] + e_ab_p[lo:stop]
+            r = cross_tab[a]
+            values = [
+                values[0],
+                np.log(denom) + shift_p[a] - s_prev[lo:stop],
+                lse - (r + e_ab_p[lo:stop] * s_ab[lo:stop]) / denom,
+                (sums_p[a] * s_ab[lo:stop] - r) / denom,
+            ]
+        v = np.stack(values)
+        for b in range(B):
+            seg0, seg1 = max(lo, starts[b]), min(stop, starts[b + 1])
+            if seg0 < seg1:
+                w_v = pair_w[seg0:seg1] @ v[:, seg0 - lo : seg1 - lo]
+                out[b, cols] += (w_v[:, None] @ neg_w[b][:, None])[:, 0, 0]
+        lo = stop
+    out[:, 3] = out[:, 2] - out[:, 0] - out[:, 3]
+    return out
 
 
 def gamma_reference(t, lam, weights):

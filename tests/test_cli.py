@@ -203,6 +203,8 @@ class TestConfigHandling:
         ("bounds", {"base_loss": 0.0}),  # below log(1 + k e^-2): the bound rises in lambda
         ("bounds", {"k": 20}),  # log(1 + 20 e^-2) > the default base_loss
         ("train", dict(SMALL_TRAIN, tasks=3, batch_size=1)),  # no contrastive loss to weigh
+        ("sweep", {"tasks": 3, "points_per_class": 4, "epochs": 1, "probe_epochs": 1,
+                   "batch_size": 1, "values": ["max"], "seeds": [0]}),  # the same, in a cell
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)

@@ -25,7 +25,11 @@ from cclab.core import (
     positive_pairs,
     random_table_model,
 )
-from tests.helpers import DictTableModel
+from tests.helpers import (
+    DictTableModel,
+    negative_multisets_reference,
+    positive_pairs_reference,
+)
 
 
 def two_class_dist():
@@ -88,6 +92,22 @@ class TestTaskDistribution:
                 labels=np.array([0, 1]),
                 mass=np.array([1.5, -0.5]),
             )
+
+    @pytest.mark.parametrize("mass", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(ValueError, match="finite and sum to 1"):
+            TaskDistribution(np.eye(2), [0, 1], mass)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            TaskDistribution(np.array([[0.0, bad], [1.0, 0.0]]), [0, 1], [0.5, 0.5])
+
+    def test_json_nan_mass_rejected(self):
+        doc = json.loads(four_point_dist().to_json())
+        doc["mass"][0] = float("nan")  # json writes NaN and reads it back
+        with pytest.raises(ValueError, match="finite and sum to 1"):
+            TaskDistribution.from_json(json.dumps(doc))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -174,9 +194,31 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError):
             negative_multisets(3, 2)[0][0, 0] = 5.0  # cached tables are read-only
 
+    @pytest.mark.parametrize("k", range(1, 19))
+    def test_numpy_build_matches_itertools_oracle(self, k):
+        # up to k = 18 every factorial is exact in float64, so the old
+        # quotients were exact integers and both builds share every bit
+        n = 1
+        while n * math.comb(n + k - 1, k) <= 1 << 20:
+            counts, multiplicity = negative_multisets(n, k)
+            ref_counts, ref_multiplicity = negative_multisets_reference(n, k)
+            assert counts.shape == ref_counts.shape
+            assert np.array_equal(counts.view(np.uint64), ref_counts.view(np.uint64)), (n, k)
+            assert multiplicity.tobytes() == ref_multiplicity.tobytes(), (n, k)
+            n += 1
+
     def test_positive_pairs_weights_sum_to_one(self):
         _, _, w = positive_pairs(four_point_dist())
         assert w.sum() == pytest.approx(1.0)
+
+    def test_positive_pairs_match_cumsum_reference(self):
+        # class masses of many uneven points, where the order of the sum shows
+        rng = np.random.default_rng(12)
+        for n, n_classes in [(1, 1), (7, 3), (40, 2), (64, 8)]:
+            labels = rng.integers(0, n_classes, n) * 7 - 5
+            d = TaskDistribution(np.eye(n), labels, rng.dirichlet(np.full(n, 0.3)))
+            got, ref = positive_pairs(d), positive_pairs_reference(d)
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
     def test_two_class_one_point_each_counts(self):
         # with one point per class the only positive pair in a class is

@@ -2,11 +2,12 @@
 implementations that share no code with the library versions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cclab import losses
+from cclab import core, losses
 from cclab.bounds import random_distribution
 from cclab.core import (
     ConstantModel,
@@ -39,6 +40,7 @@ from tests.helpers import (
     oracle_population_distillation,
     oracle_supcon,
     population_terms_reference,
+    stacked_terms_reference,
     two_point_antipodal,
 )
 
@@ -140,7 +142,9 @@ class TestAnchorTables:
         f = random_table_model(dist, 4, np.random.default_rng(6))
         emb = f.embed(dist.points)
         counts, _ = negative_weights(dist, 2)
-        tab = _anchor_tables(emb, counts)
+        ex = np.empty((dist.size, dist.size))
+        _anchor_tables(emb[None], np.arange(dist.size), ex)  # rows in index order
+        sums = ex @ counts.T
         anchors, positives, _ = positive_pairs(dist)
         for a, b in zip(anchors, positives):
             for J, row in enumerate(counts):
@@ -151,7 +155,7 @@ class TestAnchorTables:
                 assert p.shape == (3,)
                 assert p.sum() == pytest.approx(1.0)
                 assert np.all(p > 0)
-                positive = tab.ex[a, b] / (tab.ex[a, b] + tab.sums[a, J])
+                positive = ex[a, b] / (ex[a, b] + sums[a, J])
                 assert positive == pytest.approx(p[0], abs=1e-14)
 
 
@@ -249,6 +253,76 @@ class TestBlockedEvaluator:
             for prev in (None, f_p):
                 assert_same_bits(_population_terms(f_t, dist, k, prev),
                                  population_terms_reference(f_t, dist, k, prev))
+
+
+class TestChunkedTables:
+    """The anchor tables are built a chunk of anchors at a time."""
+
+    @staticmethod
+    def stacked(rng, B, n, k):
+        dists = [random_distribution(rng, n, 3, n_classes=2) for _ in range(B)]
+        emb = [np.stack([random_table_model(d, 4, rng).embed(d.points) for d in dists])
+               for _ in range(2)]
+        labels, mass = (np.stack([getattr(d, a) for d in dists]) for a in ("labels", "mass"))
+        return dists, emb, labels, mass
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trial_spanning_chunks(self, monkeypatch, k):
+        # 5 pairs a block and 5 anchors a chunk: each 12-point trial spans
+        # three chunks and many blocks, alone and stacked
+        rng = np.random.default_rng(30 + k)
+        dists, emb, labels, mass = self.stacked(rng, 3, 12, k)
+        M = math.comb(12 + k - 1, k)
+        monkeypatch.setattr(losses, "_BLOCK", 5 * M)
+        same = assert_same_bits if k <= 2 else assert_terms_close
+        for prev in (None, emb[1]):
+            got = losses._stacked_terms(emb[0], labels, mass, k, prev)
+            ref = stacked_terms_reference(emb[0], labels, mass, k, prev)
+            for b in range(3):
+                same(got[b], ref[b])
+                alone = losses._stacked_terms(emb[0][b:b + 1], labels[b:b + 1], mass[b:b + 1],
+                                              k, None if prev is None else prev[b:b + 1])
+                assert_same_bits(alone[0], got[b])
+                whole = population_terms_reference(
+                    TableModel(dists[b].points, emb[0][b]), dists[b], k,
+                    None if prev is None else TableModel(dists[b].points, prev[b]))
+                assert_terms_close(got[b], whole)
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, 7, 11, 40])
+    def test_chunks_of_whole_and_split_trials(self, monkeypatch, rows):
+        # 6-point trials of 36, 6, 18, 12 and 18 pairs: below 6 rows every
+        # trial is split into chunks; from 6 on chunks hold whole trials, and
+        # a block can take a split trial's tail with whole trials after it
+        labels = np.array([[0] * 6, [0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1],
+                           [2, 2, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0]])
+        rng = np.random.default_rng(rows)
+        mass = rng.dirichlet(np.ones(6), size=5)
+        emb = rng.standard_normal((2, 5, 6, 3))
+        emb /= np.linalg.norm(emb, axis=-1, keepdims=True)
+        monkeypatch.setattr(losses, "_BLOCK", rows * 21)  # M = 21 at (6, 2)
+        for prev in (None, emb[1]):
+            got = losses._stacked_terms(emb[0], labels, mass, 2, prev)
+            assert_same_bits(got, stacked_terms_reference(emb[0], labels, mass, 2, prev))
+
+    def test_working_set(self):
+        # the 64-point, 8-class seen-data mixture of a certify-trained check
+        tasks = make_blob_sequence(4, 2, 10, seed=3)
+        dist = mixture([t.train for t in tasks], MixtureWeights(5, np.full(4, 0.25)))
+        assert dist.size == 64 and dist.classes.size == 8
+        rng = np.random.default_rng(1)
+        f_t, f_p = random_table_model(dist, 4, rng), random_table_model(dist, 4, rng)
+        M = math.comb(64 + 1, 2)
+        core._multiset_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            population_distillation(f_t, f_p, dist, 2)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the pass's dense (M, n) counts alone take 1 MiB; whole tables took 3 more
+        assert peak <= 3 * 2**20
+        # what stays is the cache: the (M, 2) index rows and M multiplicities
+        assert retained <= 8 * 3 * M + 16 * 2**10
 
 
 class TestTermSelectivePass:
