@@ -5,7 +5,8 @@ threshold-scheduler hook, and linear-probe evaluation on frozen
 representations.
 
 A run owns all of its state; with a fixed seed the whole sequence is
-bit-reproducible (training is sequential).
+bit-reproducible (training is sequential). A batch's step, about 130 numpy
+operations, is one ``augment`` call, one ``grad_total`` and one ``sgd_step``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ class LambdaSchedule:
             raise ValueError("lam0 must be >= 0 and kappa > 0")
         if self.mode == "theorem2" and self.theorem2 is None:
             raise ValueError("the theorem2 mode needs a threshold-scheduler state")
+        if self.mode == "theorem2" and self.lam0 == 0:  # gamma = 0 leaves U_t undefined
+            raise ValueError("the theorem2 mode needs lam0 > 0: U_t has no value at lambda = 0")
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> LambdaSchedule:
@@ -164,16 +167,28 @@ def adaptive_lambda(schedule: LambdaSchedule, t: int) -> float:
 def augment(points: np.ndarray, rng: np.random.Generator,
             jitter: float = 0.05, max_angle_deg: float = 15.0) -> np.ndarray:
     """Label-preserving stochastic view: Gaussian jitter, plus a small
-    random rotation for 2-D inputs."""
+    random rotation for 2-D inputs.
+
+    A (V, n, d) stack gets one view per slice, bit for bit as V calls draw them.
+    """
     points = np.atleast_2d(points)
-    out = points + rng.normal(scale=jitter, size=points.shape)
-    if points.shape[1] == 2:
-        theta = rng.uniform(-1.0, 1.0, size=points.shape[0]) * np.deg2rad(max_angle_deg)
-        c, s = np.cos(theta), np.sin(theta)
-        x = c * out[:, 0] - s * out[:, 1]
-        out[:, 1] = s * out[:, 0] + c * out[:, 1]
-        out[:, 0] = x
-    return out
+    views = points.reshape(-1, *points.shape[-2:])
+    rotate = views.shape[-1] == 2
+    out = np.empty(views.shape)
+    theta = np.empty(views.shape[:-1])
+    for noise, angle in zip(out, theta):
+        rng.standard_normal(out=noise)  # normal(scale=jitter) is jitter times this
+        if rotate:
+            rng.random(out=angle)  # uniform(-1, 1) is 2 u - 1 of this
+    out *= jitter
+    out += views
+    if rotate:  # (x, y) -> (c x - s y, c y + s x), as (c x, c y) + (-s y, s x)
+        np.multiply(theta * 2.0 - 1.0, np.deg2rad(max_angle_deg), out=theta)
+        turned = out[..., ::-1] * np.sin(theta)[..., None]
+        turned[..., 0] *= -1.0
+        out *= np.cos(theta)[..., None]
+        out += turned
+    return out.reshape(points.shape)
 
 
 @dataclass
@@ -284,35 +299,25 @@ def run_task(
     velocity = np.zeros(enc.n_params)
     batch_rng = rngs["batching"]
     aug_rng = rngs["augment"]
-    n = pts.shape[0]
-    final_con = final_dis = 0.0
+    n, d = pts.shape
+    starts = range(0, n, cfg.sgd.batch_size)
     for epoch in range(cfg.sgd.epochs):
+        # each batch point twice, for its two views; labels for their interleaved rows
         order = batch_rng.permutation(n)
+        twice = pts[order][None].repeat(2, axis=0)
+        vlabs = labs[order].repeat(2)
         con_sum = dis_sum = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.sgd.batch_size):
-            idx = order[start : start + cfg.sgd.batch_size]
-            if idx.size < 1:
-                continue
-            base = pts[idx]
-            views = np.empty((2 * idx.size, pts.shape[1]))
-            views[0::2] = augment(base, aug_rng)
-            views[1::2] = augment(base, aug_rng)
-            vlabs = np.repeat(labs[idx], 2)
+        for start in starts:
+            views = augment(twice[:, start : start + cfg.sgd.batch_size], aug_rng)
             l_con, l_dis, grad = grad_total(
-                enc,
-                enc_prev if t >= 2 else None,
-                views,
-                vlabs,
-                lam if lam is not None else 0.0,
-                cfg.temps,
+                enc, enc_prev, views.swapaxes(0, 1).reshape(-1, d),
+                vlabs[2 * start : 2 * (start + cfg.sgd.batch_size)], lam or 0.0, cfg.temps,
             )
             velocity = sgd_step(enc, grad, velocity, cfg.sgd)
             con_sum += l_con
             dis_sum += l_dis
-            n_batches += 1
-        final_con = con_sum / max(1, n_batches)
-        final_dis = dis_sum / max(1, n_batches)
+        final_con = con_sum / len(starts)
+        final_dis = dis_sum / len(starts)
         trace.epoch_rows.append((t, epoch, final_con, final_dis, lam))
 
     for p, c in zip(train.points, train.labels):
@@ -463,17 +468,20 @@ def linear_probe(
     present = np.unique(labels)
     missing = sorted(set(range(n_classes)) - set(int(c) for c in present))
     steps_per_epoch = max(1, int(np.ceil(z.shape[0] / batch_size)))
-    # one draw for every epoch's batches is the stream of one draw per epoch
-    for idx in class_balanced_batches(labels, batch_size, epochs * steps_per_epoch, rng):
-        zb = z[idx]
-        logits = zb @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(idx.size), labels[idx]] -= 1.0
-        p /= idx.size
+    # every epoch's batches in one draw (the stream of one draw per epoch), gathered at once
+    batches = class_balanced_batches(labels, batch_size, epochs * steps_per_epoch, rng)
+    idx = np.array(batches, dtype=np.intp).reshape(-1, batch_size)
+    rows = np.arange(batch_size)
+    for zb, target in zip(z[idx], labels[idx]):
+        p = zb @ w
+        p += b
+        p -= np.maximum.reduce(p, axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        p[rows, target] -= 1.0
+        p /= batch_size
         w -= lr * (zb.T @ p)
-        b -= lr * p.sum(axis=0)
+        b -= lr * np.add.reduce(p, axis=0)
     accs = []
     for dist in test_tasks:
         zt = embed_fn(dist.points)

@@ -3,10 +3,10 @@ for finite supports (any number of negatives), the training and test
 aggregates, the batch-level SupCon and IRD losses used during training,
 and the cross-entropy decomposition identity behind the bound proofs.
 
-The batch losses and their gradients with respect to the similarity
-matrix all come from one masked softmax over the off-diagonals of the
-stacked (3, 2N, 2N) SupCon, current-IRD and past-IRD logits, so a
-training step computes zz' once and runs one softmax.
+A training step's batch losses and the gradient of SupCon + lam * IRD in
+the similarity matrix come from one kernel of about 45 numpy operations:
+one masked softmax over the stacked (3, 2N, 2N) SupCon, current-IRD and
+past-IRD logits, with both losses read off its row log-normalisers.
 
 Population expectations are computed by exact enumeration over the
 support. Both losses are symmetric in the k negatives, which depend only
@@ -267,22 +267,51 @@ class Temperatures:
             raise ValueError("temperatures must be positive")
 
 
-def _masked_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sum-exp and softmax of (..., n, n) logits over the
-    off-diagonal of each trailing (n, n) matrix.
+def _batch_step(
+    zs: np.ndarray, labels: np.ndarray, temps: Temperatures, lam: float = 0.0
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(SupCon loss, IRD loss, gradient of SupCon + lam * IRD in zz', softmax
+    stack) of the unit rows ``zs`` of the live encoder, (1, n, e), or of the
+    live and the frozen one, (2, n, e); losses summed over anchors.
 
-    The diagonal of a copy is set to -inf, so it drops out of the row max
-    and exp maps it to exactly 0: the softmax has a zero diagonal, and
-    both are max-shifted per row.
+    The Grams' row maxes off the diagonal (column maxes, as they are
+    symmetric) are taken once; the shifted Grams d over their temperatures
+    become the stacked softmax in place, each matrix bit-identical to a
+    stack without the others. Each loss's weights w (positives over their
+    count, or the past softmax q) sum to one per row, so it is
+    sum_i log Z_i - sum w d. The IRD gradient enters only for lam > 0.
     """
-    n = logits.shape[-1]
-    ex = logits.copy()
-    ex.reshape(logits.shape[:-2] + (n * n,))[..., :: n + 1] = -np.inf
-    m = ex.max(axis=-1)
-    ex -= m[..., None]
-    np.exp(ex, out=ex)
-    sums = ex.sum(axis=-1)
-    return m + np.log(sums), ex / sums[..., None]
+    n = zs.shape[-2]
+    if n < 2:
+        raise ValueError("need at least two embeddings")
+    pos = labels[:, None] == labels
+    pos.flat[:: n + 1] = False
+    counts = np.add.reduce(pos, axis=1, keepdims=True)
+    if counts.min() == 0:
+        raise ValueError("anchor with empty positive set")
+    w_pos = pos * (1.0 / (counts * temps.contrastive))  # SupCon's w, over tau
+    sims = zs @ zs.swapaxes(-1, -2)
+    sims.reshape(len(zs), n * n)[:, :: n + 1] = -np.inf
+    sims -= np.maximum.reduce(sims, axis=1, keepdims=True).swapaxes(1, 2)
+    taus = np.array((temps.contrastive, temps.distill_current, temps.distill_past))
+    p = np.empty((2 * len(zs) - 1, n, n))
+    np.divide(sims[0], taus[: min(len(p), 2), None, None], out=p[:2])
+    if len(p) == 3:
+        np.divide(sims[1], taus[2], out=p[2])
+    np.exp(p, out=p)
+    sums = np.add.reduce(p, axis=2, keepdims=True)
+    p /= sums
+    log_z = np.add.reduce(np.log(sums), axis=(1, 2)).tolist()
+    d = sims[0]
+    d.flat[:: n + 1] = 0.0  # finite, for the zero diagonals of w_pos and q
+    l_con = log_z[0] - float(np.vdot(w_pos, d))
+    tau = temps.distill_current
+    l_dis = log_z[1] - float(np.vdot(p[2], d)) / tau if len(p) == 3 else 0.0
+    # sum_k coef_k p_k - w_pos: g_con = p_0/tau_c - w_pos, g_dis = (p_1 - p_2)/tau_d
+    coef = [1.0 / temps.contrastive] + ([lam / tau, -lam / tau] if len(p) == 3 and lam > 0 else [])
+    g = (np.array(coef) @ p[: len(coef)].reshape(len(coef), n * n)).reshape(n, n)
+    g -= w_pos
+    return l_con, l_dis, g, p
 
 
 def batch_terms(
@@ -299,33 +328,11 @@ def batch_terms(
     positive, which paired views guarantee. IRD is the cross-entropy from
     the past rows' similarity softmax at ``temps.distill_past`` to the
     current rows' at ``temps.distill_current``, with the past fixed; both
-    arrays index the same 2N samples in order. zz' is computed once and
-    one masked softmax runs over the stacked (3, 2N, 2N) logits, or over
-    SupCon's alone without ``z_past``, when the IRD terms are (0.0, None).
+    arrays of one shape index the same 2N samples in order. Without
+    ``z_past`` the IRD terms are (0.0, None). Computed by :func:`_batch_step`.
     """
-    n = z.shape[0]
-    if n < 2:
-        raise ValueError("need at least two embeddings")
-    if z_past is not None and z_past.shape[0] != n:
-        raise ValueError("batch sizes must match")
-    pos = labels[:, None] == labels[None, :]
-    pos.flat[:: n + 1] = False
-    counts = pos.sum(axis=1)
-    if not counts.all():
-        raise ValueError("anchor with empty positive set")
-    sims = z @ z.T
-    logits = np.empty((1 if z_past is None else 3, n, n))
-    np.divide(sims, temps.contrastive, out=logits[0])
-    if z_past is not None:
-        np.divide(sims, temps.distill_current, out=logits[1])
-        np.divide(z_past @ z_past.T, temps.distill_past, out=logits[2])
-    lse, p = _masked_softmax(logits)
-    per_anchor = -(np.where(pos, logits[0] - lse[0][:, None], 0.0).sum(axis=1)) / counts
-    l_con = float(per_anchor.sum())
-    g_con = (p[0] - pos / counts[:, None]) / temps.contrastive
+    zs = np.stack((z,) if z_past is None else (z, z_past))
+    l_con, l_dis, g_con, p = _batch_step(zs, np.asarray(labels), temps)
     if z_past is None:
         return l_con, g_con, 0.0, None
-    q = p[2]
-    # q's zero diagonal drops each anchor's self-similarity from the loss
-    l_dis = float(-(q * (logits[1] - lse[1][:, None])).sum())
-    return l_con, g_con, l_dis, (p[1] - q) / temps.distill_current
+    return l_con, g_con, l_dis, (p[1] - p[2]) / temps.distill_current

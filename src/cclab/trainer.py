@@ -3,11 +3,10 @@ reverse-mode gradients of the batch losses, plain SGD with momentum,
 finite-difference gradient verification, and checkpoint persistence.
 
 The encoder keeps all of its parameters in one flat vector; the per-layer
-weights and biases are views into it. Gradients are written out by hand:
-one call to ``losses.batch_terms`` per step supplies both batch losses
-and their dL/d(zz') from one stacked masked softmax, and the
-normalization head contributes the Jacobian (I - zz')/||z|| per row.
-Double precision throughout.
+weights and biases are views into it. A step runs one stacked forward pass
+of the live and the frozen encoder, one ``losses._batch_step`` for both
+losses and dL/d(zz'), and a hand-written backward pass reusing the forward's
+norms for the head's Jacobian (I - zz')/||z||: ~40 numpy operations. Float64.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NORM_TOL, TableModel, normalize_rows
-from .losses import Temperatures, batch_terms
+from .core import NORM_TOL, TableModel
+from .losses import Temperatures, _batch_step
 
 CHECKPOINT_MAGIC = b"CCL1"
 CHECKPOINT_VERSION = 1
@@ -83,18 +82,25 @@ class Encoder:
         # per-layer views below stay valid
         self.params = np.empty(_param_count(dims))
         self.weights, self.biases = self._layers(self.params)
+        # stacked layers, alone or beside a frozen encoder's copy; gradient views
+        self._pair = np.empty((2, self.params.size))
+        self._stacks = (self._layers(self.params[None]), self._layers(self._pair))
+        self._grad = np.empty(self.params.size)
+        self._grad_layers = self._layers(self._grad)
 
     # -- parameter vector -------------------------------------------------
 
     def _layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (weights, biases) views of a flat parameter-shaped
-        vector, laid out layer by layer as weights row-major, then biases."""
+        vector, laid out layer by layer as weights row-major, then biases;
+        of a (K, n_params) stack, (K, fan_in, fan_out) and (K, fan_out) ones."""
+        lead = flat.shape[:-1]
         weights, biases = [], []
         pos = 0
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
-            weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            weights.append(flat[..., pos : pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
             pos += fan_in * fan_out
-            biases.append(flat[pos : pos + fan_out])
+            biases.append(flat[..., pos : pos + fan_out])
             pos += fan_out
         return weights, biases
 
@@ -116,35 +122,48 @@ class Encoder:
 
     # -- forward ----------------------------------------------------------
 
-    def _act(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x) if self.activation == "tanh" else np.maximum(x, 0.0)
-
     def _act_grad(self, a: np.ndarray) -> np.ndarray:
         # derivative expressed through the activation output
         return 1.0 - a**2 if self.activation == "tanh" else (a > 0).astype(np.float64)
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """Unit-norm embeddings of (n, d_in) points."""
-        z, _ = self._forward_cached(points)
-        return z
+        return self._forward_stack(points)[0][0]
 
     # an Encoder is a valid EmbeddingModel for the population losses
     embed = forward
 
-    def _forward_cached(self, points: np.ndarray):
+    def _forward_stack(self, points: np.ndarray, frozen: "Encoder | None" = None):
+        """(K, n, dim) unit embeddings of (n, d_in) points under this encoder
+        and, K = 2, a frozen one of its architecture; and the backward's cache.
+        As in ``core.normalize_rows``, rows of norm below NORM_TOL map to the
+        first basis vector; their norm is cached as inf to stop their gradient."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if x.shape[1] != self.dims[0]:
             raise ValueError(
                 f"input dimension {x.shape[1]} does not match encoder ({self.dims[0]})"
             )
+        if frozen is not None:
+            if (frozen.dims, frozen.activation) != (self.dims, self.activation):
+                raise ValueError("the frozen encoder must share the live one's architecture")
+            np.concatenate((self.params, frozen.params), out=self._pair.reshape(-1))
+        weights, biases = self._stacks[frozen is not None]
         acts = [x]
         h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._act(h @ w + b)
-            acts.append(h)
-        raw = h @ self.weights[-1] + self.biases[-1]
-        z = normalize_rows(raw)
-        return z, (acts, raw, z)
+        for w, b in zip(weights, biases):
+            h = h @ w
+            h += b[:, None]
+            if len(acts) < len(weights):
+                np.tanh(h, out=h) if self.activation == "tanh" else np.maximum(h, 0.0, out=h)
+                acts.append(h)
+        norms = np.sqrt(np.add.reduce(h * h, axis=-1, keepdims=True))
+        small = norms < NORM_TOL if norms.min() < NORM_TOL else None
+        if small is not None:
+            h[small[..., 0]], norms[small] = np.eye(1, self.dim), 1.0
+        z = np.divide(h, norms, out=h)
+        if small is not None:
+            norms[small] = np.inf
+        return z, (acts, z, norms)
 
     def snapshot(self, points: np.ndarray) -> TableModel:
         """Freeze the encoder's embeddings of a support into a table model."""
@@ -153,27 +172,21 @@ class Encoder:
     # -- backward ---------------------------------------------------------
 
     def _backward(self, cache, d_z: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss w.r.t. parameters given dL/dZ."""
-        acts, raw, z = cache
-        norms = np.linalg.norm(raw, axis=1)
-        # through z = raw/||raw||: d_raw = (d_z - (d_z.z) z)/||raw||; rows
-        # that normalize_rows sent to the basis vector pass no gradient
-        d_raw = d_z - (d_z * z).sum(axis=1)[:, None] * z
-        small = norms < NORM_TOL
-        if small.any():
-            d_raw[small] = 0.0
-            norms = np.where(small, 1.0, norms)
-        d_raw /= norms[:, None]
-        grad = np.empty_like(self.params)
-        grads_w, grads_b = self._layers(grad)
-        delta = d_raw
-        grads_w[-1][...] = acts[-1].T @ delta
-        grads_b[-1][...] = delta.sum(axis=0)
-        for layer in range(len(self.weights) - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1].T) * self._act_grad(acts[layer + 1])
-            grads_w[layer][...] = acts[layer].T @ delta
-            grads_b[layer][...] = delta.sum(axis=0)
-        return grad
+        """Gradient of a scalar loss w.r.t. parameters given dL/dZ of this
+        encoder's rows, in a buffer that the next call overwrites."""
+        acts, z, norms = cache
+        z = z[0]
+        # through z = raw/||raw||: d_raw = (d_z - (d_z.z) z)/||raw||
+        d_raw = d_z - np.add.reduce(d_z * z, axis=1, keepdims=True) * z
+        delta = np.divide(d_raw, norms[0], out=d_raw)
+        grads_w, grads_b = self._grad_layers
+        for layer in range(len(self.weights) - 1, -1, -1):
+            a = acts[layer] if layer == 0 else acts[layer][0]
+            np.matmul(a.T, delta, out=grads_w[layer])
+            np.add.reduce(delta, axis=0, out=grads_b[layer])
+            if layer:
+                delta = (delta @ self.weights[layer].T) * self._act_grad(a)
+        return self._grad
 
 
 def grad_total(
@@ -186,28 +199,19 @@ def grad_total(
     divide: bool = True,
 ) -> tuple[float, float, np.ndarray]:
     """Analytic gradient of contrastive + lam * distillation w.r.t. the
-    current encoder's parameters. The previous encoder is frozen.
+    current encoder's parameters. The previous encoder is frozen and shares
+    the current one's architecture.
 
     Returns (contrastive loss, distillation loss, flat gradient); with
     ``divide`` both losses and the gradient are scaled by 1/2N for
     step-size conditioning. The distillation loss is reported whenever a
     previous encoder is given; its gradient enters only for lam > 0.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    n = points.shape[0]
-    z, cache = enc_t._forward_cached(points)
-    z_past = None if enc_prev is None else enc_prev.forward(points)
-    l_con, g_sim, l_dis, g_dis = batch_terms(z, labels, temps, z_past)
-    if g_dis is not None and lam > 0:
-        g_sim = g_sim + lam * g_dis
-
-    d_z = (g_sim + g_sim.T) @ z
-    grad = enc_t._backward(cache, d_z)
-    if divide:
-        scale = 1.0 / n
-        return l_con * scale, l_dis * scale, grad * scale
-    return l_con, l_dis, grad
+    zs, cache = enc_t._forward_stack(points, enc_prev)
+    l_con, l_dis, g_sim, _ = _batch_step(zs, np.asarray(labels), temps, lam)
+    grad = enc_t._backward(cache, (g_sim + g_sim.T) @ zs[0])
+    scale = 1.0 / zs.shape[1] if divide else 1.0
+    return l_con * scale, l_dis * scale, grad * scale
 
 
 def sgd_step(
@@ -216,10 +220,11 @@ def sgd_step(
     velocity: np.ndarray,
     cfg: SgdConfig,
 ) -> np.ndarray:
-    """One momentum-SGD update in place; returns the new velocity."""
-    if not np.all(np.isfinite(grad)):
+    """One momentum-SGD update of the parameters and ``velocity`` in place; returns it."""
+    if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient component; training aborted")
-    velocity = cfg.momentum * velocity + grad
+    velocity *= cfg.momentum
+    velocity += grad
     enc.params -= cfg.lr * velocity
     return velocity
 

@@ -7,6 +7,7 @@ error."""
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -17,7 +18,16 @@ from cclab.bounds import (
     gamma,
     random_distribution,
 )
+from cclab.continual import (
+    ExperimentTrace,
+    LambdaSchedule,
+    ReplayBuffer,
+    TaskRecord,
+    adaptive_lambda,
+    class_balanced_batches,
+)
 from cclab.core import (
+    NORM_TOL,
     MixtureWeights,
     TableModel,
     TaskDistribution,
@@ -31,6 +41,7 @@ from cclab.core import (
 )
 from cclab import losses
 from cclab.losses import _population_terms
+from cclab.trainer import Encoder
 
 
 def two_point_antipodal():
@@ -443,3 +454,177 @@ def population_bound_check_reference(task_models, task_dists, lambdas, k=1, weig
     upper.realized_test_loss = realized
     lower.realized_test_loss = realized
     return upper, lower, realized
+
+
+# -- the training step before it was fused --------------------------------
+#
+# The step as the library computed it with two augment calls per batch, one
+# forward pass per encoder, a masked softmax on a copy of the stacked logits
+# with the losses read off per anchor, and a fresh velocity per update. The
+# fused step must reproduce it within float error.
+
+
+def augment_reference(points, rng, jitter=0.05, max_angle_deg=15.0):
+    """Gaussian jitter, plus a small random rotation for 2-D inputs."""
+    points = np.atleast_2d(points)
+    out = points + rng.normal(scale=jitter, size=points.shape)
+    if points.shape[1] == 2:
+        theta = rng.uniform(-1.0, 1.0, size=points.shape[0]) * np.deg2rad(max_angle_deg)
+        c, s = np.cos(theta), np.sin(theta)
+        x = c * out[:, 0] - s * out[:, 1]
+        out[:, 1] = s * out[:, 0] + c * out[:, 1]
+        out[:, 0] = x
+    return out
+
+
+def stacked_softmax_reference(logits):
+    """Row log-sum-exp and softmax of (..., n, n) logits over the
+    off-diagonal of each trailing (n, n) matrix, on a copy whose diagonal
+    is set to -inf."""
+    n = logits.shape[-1]
+    ex = logits.copy()
+    ex.reshape(logits.shape[:-2] + (n * n,))[..., :: n + 1] = -np.inf
+    m = ex.max(axis=-1)
+    ex -= m[..., None]
+    np.exp(ex, out=ex)
+    sums = ex.sum(axis=-1)
+    return m + np.log(sums), ex / sums[..., None]
+
+
+def batch_terms_reference(z, labels, temps, z_past=None):
+    """(SupCon loss, its gradient in zz', IRD loss, its gradient), each loss
+    summed over anchors, with the losses read off per anchor."""
+    n = z.shape[0]
+    pos = labels[:, None] == labels[None, :]
+    pos.flat[:: n + 1] = False
+    counts = pos.sum(axis=1)
+    if not counts.all():
+        raise ValueError("anchor with empty positive set")
+    sims = z @ z.T
+    logits = np.empty((1 if z_past is None else 3, n, n))
+    np.divide(sims, temps.contrastive, out=logits[0])
+    if z_past is not None:
+        np.divide(sims, temps.distill_current, out=logits[1])
+        np.divide(z_past @ z_past.T, temps.distill_past, out=logits[2])
+    lse, p = stacked_softmax_reference(logits)
+    per_anchor = -(np.where(pos, logits[0] - lse[0][:, None], 0.0).sum(axis=1)) / counts
+    l_con = float(per_anchor.sum())
+    g_con = (p[0] - pos / counts[:, None]) / temps.contrastive
+    if z_past is None:
+        return l_con, g_con, 0.0, None
+    q = p[2]
+    l_dis = float(-(q * (logits[1] - lse[1][:, None])).sum())
+    return l_con, g_con, l_dis, (p[1] - q) / temps.distill_current
+
+
+def _forward_reference(enc, points):
+    """(unit embeddings, per-layer activations, pre-normalization output)."""
+    acts = [points]
+    h = points
+    for w, b in zip(enc.weights[:-1], enc.biases[:-1]):
+        h = np.tanh(h @ w + b) if enc.activation == "tanh" else np.maximum(h @ w + b, 0.0)
+        acts.append(h)
+    raw = h @ enc.weights[-1] + enc.biases[-1]
+    return normalize_rows(raw), acts, raw
+
+
+def grad_total_reference(enc_t, enc_prev, points, labels, lam, temps, divide=True):
+    """trainer.grad_total on the reference batch terms, with one forward
+    pass per encoder and the backward pass written layer by layer."""
+    n = points.shape[0]
+    z, acts, raw = _forward_reference(enc_t, points)
+    z_past = None if enc_prev is None else _forward_reference(enc_prev, points)[0]
+    l_con, g_sim, l_dis, g_dis = batch_terms_reference(z, labels, temps, z_past)
+    if g_dis is not None and lam > 0:
+        g_sim = g_sim + lam * g_dis
+    d_z = (g_sim + g_sim.T) @ z
+    norms = np.linalg.norm(raw, axis=1)
+    d_raw = d_z - (d_z * z).sum(axis=1)[:, None] * z
+    small = norms < NORM_TOL
+    d_raw[small] = 0.0
+    d_raw /= np.where(small, 1.0, norms)[:, None]
+    grad = np.empty_like(enc_t.params)
+    grads_w, grads_b = enc_t._layers(grad)
+    delta = d_raw
+    for layer in range(len(enc_t.weights) - 1, -1, -1):
+        grads_w[layer][...] = acts[layer].T @ delta
+        grads_b[layer][...] = delta.sum(axis=0)
+        if layer:
+            a = acts[layer]
+            da = 1.0 - a**2 if enc_t.activation == "tanh" else (a > 0).astype(np.float64)
+            delta = (delta @ enc_t.weights[layer].T) * da
+    scale = 1.0 / n if divide else 1.0
+    return l_con * scale, l_dis * scale, grad * scale
+
+
+def run_sequence_reference(tasks, cfg):
+    """continual.run_sequence's loop on the reference step: two
+    augment_reference calls per batch, grad_total_reference and a
+    momentum update into a fresh velocity. Returns (trace, final encoder,
+    buffer); the buffer, schedule and trace are the library's."""
+    ss = np.random.SeedSequence(cfg.seed)
+    batching, augmenting, buffering = ss.spawn(3)
+    batch_rng, aug_rng = np.random.default_rng(batching), np.random.default_rng(augmenting)
+    buffer = ReplayBuffer(capacity=cfg.buffer_size, seed=int(buffering.generate_state(1)[0]))
+    schedule = LambdaSchedule.from_config(cfg)
+    trace = ExperimentTrace(config=asdict(cfg))
+    enc = None
+    for t, task in enumerate(tasks, start=1):
+        train = task.train
+        pts = np.asarray(list(train.points) + (buffer.points if t >= 2 else []))
+        labs = np.asarray(list(train.labels) + (buffer.labels if t >= 2 else []), dtype=np.int64)
+        enc_prev, lam = enc, None if enc is None else adaptive_lambda(schedule, t)
+        enc = Encoder((train.dimension, cfg.hidden, cfg.embed_dim), seed=cfg.seed) \
+            if enc_prev is None else enc_prev.copy()
+        velocity = np.zeros(enc.n_params)
+        n = pts.shape[0]
+        for epoch in range(cfg.sgd.epochs):
+            order = batch_rng.permutation(n)
+            con_sum = dis_sum = 0.0
+            n_batches = 0
+            for start in range(0, n, cfg.sgd.batch_size):
+                idx = order[start : start + cfg.sgd.batch_size]
+                views = np.empty((2 * idx.size, pts.shape[1]))
+                views[0::2] = augment_reference(pts[idx], aug_rng)
+                views[1::2] = augment_reference(pts[idx], aug_rng)
+                l_con, l_dis, grad = grad_total_reference(
+                    enc, enc_prev, views, np.repeat(labs[idx], 2), lam or 0.0, cfg.temps)
+                if not np.all(np.isfinite(grad)):
+                    raise FloatingPointError("non-finite gradient component")
+                velocity = cfg.sgd.momentum * velocity + grad
+                enc.params -= cfg.sgd.lr * velocity
+                con_sum += l_con
+                dis_sum += l_dis
+                n_batches += 1
+            final_con, final_dis = con_sum / n_batches, dis_sum / n_batches
+            trace.epoch_rows.append((t, epoch, final_con, final_dis, lam))
+        for p, c in zip(train.points, train.labels):
+            buffer.insert(p, int(c), t)
+        if t >= 2:
+            schedule.record_task(final_con, final_dis, buffer)
+        trace.records.append(TaskRecord(t, lam, final_con, final_dis, buffer.composition()))
+    return trace, enc, buffer
+
+
+def linear_probe_reference(embed_fn, probe_points, probe_labels, test_tasks, n_classes,
+                           epochs=100, batch_size=32, lr=0.5, seed=0):
+    """Per-task accuracies of continual.linear_probe's classifier, trained
+    one batch at a time with a fresh softmax and a scattered target."""
+    rng = np.random.default_rng(seed)
+    z = embed_fn(np.atleast_2d(probe_points))
+    labels = np.asarray(probe_labels, dtype=np.int64)
+    w = np.zeros((z.shape[1], n_classes))
+    b = np.zeros(n_classes)
+    steps = epochs * max(1, int(np.ceil(z.shape[0] / batch_size)))
+    for idx in class_balanced_batches(labels, batch_size, steps, rng):
+        zb = z[idx]
+        logits = zb @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(idx.size), labels[idx]] -= 1.0
+        p /= idx.size
+        w -= lr * (zb.T @ p)
+        b -= lr * p.sum(axis=0)
+    return [float(np.mean(np.argmax(embed_fn(d.points) @ w + b, axis=1) == d.labels))
+            for d in test_tasks]

@@ -4,7 +4,7 @@ import json
 from dataclasses import fields
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cclab.cli import (
@@ -130,6 +130,11 @@ _TRAIN_OPTIONAL = {
     "tau_contrastive": _floats(0.01, 2.0), "tau_distill_current": _floats(0.01, 2.0),
     "tau_distill_past": _floats(0.01, 2.0),
 }
+# falsifying examples found by the fuzz, replayed on every run
+PINNED_VALID = dict.fromkeys(("train", "probe"), [
+    {"tasks": 2, "classes_per_task": 1, "points_per_class": 2, "d_in": 2, "epochs": 1,
+     "probe_epochs": 1, "hidden": 1, "embed_dim": 1, "mode": "theorem2", "lam0": 0.0},
+])
 VALID_CONFIGS = {
     "train": st.fixed_dictionaries(_TRAIN_SHAPE, optional=_TRAIN_OPTIONAL),
     "probe": st.fixed_dictionaries(_TRAIN_SHAPE, optional=_TRAIN_OPTIONAL),
@@ -205,6 +210,9 @@ class TestConfigHandling:
         ("train", dict(SMALL_TRAIN, tasks=3, batch_size=1)),  # no contrastive loss to weigh
         ("sweep", {"tasks": 3, "points_per_class": 4, "epochs": 1, "probe_epochs": 1,
                    "batch_size": 1, "values": ["max"], "seeds": [0]}),  # the same, in a cell
+        ("train", {"tasks": 3, "mode": "theorem2", "lam0": 0}),  # U_t undefined at lambda = 0
+        ("probe", dict(SMALL_TRAIN, mode="theorem2", lam0=0.0)),
+        ("sweep", dict(SMALL_TRAIN, mode="theorem2", vary="lam0", values=[1.0, 0.0])),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -245,6 +253,8 @@ class TestConfigHandling:
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), config
             assert "Traceback" not in captured.out + captured.err
 
+        for config in PINNED_VALID.get(command, ()):  # replayed from every checkout
+            run = example(config=config)(run)
         run()
 
     def test_train_defaults_are_the_dataclass_defaults(self, tmp_path):

@@ -22,7 +22,13 @@ from cclab.core import ConstantModel, MixtureWeights, TableModel, TaskDistributi
 from cclab.data import make_blob_sequence
 from cclab.losses import population_test_loss
 from cclab.trainer import SgdConfig
-from tests.helpers import class_balanced_reference, population_bound_check_reference
+from tests.helpers import (
+    augment_reference,
+    class_balanced_reference,
+    linear_probe_reference,
+    population_bound_check_reference,
+    run_sequence_reference,
+)
 
 
 class TestReplayBuffer:
@@ -117,6 +123,11 @@ class TestLambdaSchedule:
             RunConfig(mode="theorem2", u_t=0)
         with pytest.raises(ValueError):
             RunConfig(mode="theorem2", delta_t=-1)
+        # U_t divides by gamma_2 = min(1/2, lam k_21), which is 0 at lam = 0
+        with pytest.raises(ValueError):
+            RunConfig(mode="theorem2", lam0=0.0)
+        for mode in ("fixed", "pure", "min", "max"):
+            RunConfig(mode=mode, lam0=0.0)
 
 
 class TestAugment:
@@ -132,6 +143,18 @@ class TestAugment:
         pts = np.zeros((5, 4))
         out = augment(pts, rng, jitter=0.01)
         assert np.max(np.abs(out)) < 0.1
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (6, 2), (32, 2), (7, 3), (5, 1)])
+    def test_stack_draws_as_one_call_per_view(self, n, d):
+        pts = np.random.default_rng(n).standard_normal((n, d))
+        for views in (1, 2, 3):
+            fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+            got = augment(np.stack([pts] * views), fast)
+            for v in range(views):
+                np.testing.assert_array_max_ulp(got[v], augment_reference(pts, slow), maxulp=1)
+            assert fast.bit_generator.state == slow.bit_generator.state
+        one, ref = np.random.default_rng(3), np.random.default_rng(3)
+        np.testing.assert_array_max_ulp(augment(pts, one), augment_reference(pts, ref), maxulp=1)
 
 
 def tiny_config(mode="max", epochs=4, seed=0, **kw):
@@ -181,6 +204,32 @@ class TestRunSequence:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             run_sequence([], tiny_config())
+
+    @pytest.mark.parametrize("mode", ["fixed", "pure", "min", "max", "theorem2"])
+    def test_matches_the_reference_step(self, mode):
+        # the fused step against a loop of the step it replaced: two
+        # augment calls, one forward per encoder, per-anchor batch losses
+        tasks = make_blob_sequence(3, points_per_class=8, seed=5)
+        cfg = tiny_config(mode=mode, seed=2, u_t=0.5, delta_t=0.25)
+        res = run_sequence(tasks, cfg)
+        trace, enc, buffer = run_sequence_reference(tasks, cfg)
+        got = np.array([row[2:4] for row in res.trace.epoch_rows])
+        want = np.array([row[2:4] for row in trace.epoch_rows])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        lams = [r.lam for r in res.trace.records[1:]]
+        want_lams = [r.lam for r in trace.records[1:]]
+        np.testing.assert_allclose(lams, want_lams, rtol=1e-12, atol=0)
+        # the same branch: min's clip at 1, max's floor at lam0, theorem2's step
+        assert [(x == 1.0, x == cfg.lam0) for x in lams] == [
+            (x == 1.0, x == cfg.lam0) for x in want_lams]
+        assert list(np.diff(lams) != 0) == list(np.diff(want_lams) != 0)
+        assert res.buffer.labels == buffer.labels
+        test = [t.test for t in tasks]
+        pts = np.concatenate([tasks[-1].train.points, np.asarray(buffer.points)])
+        labs = np.concatenate([tasks[-1].train.labels, np.asarray(buffer.labels)])
+        probe = linear_probe(res.encoder.forward, pts, labs, test, n_classes=6, epochs=20)
+        assert probe.per_task_accuracy == linear_probe_reference(
+            enc.forward, pts, labs, test, n_classes=6, epochs=20)
 
 
 class TestPopulationBoundCheck:
@@ -328,6 +377,22 @@ class TestLinearProbe:
         probe = linear_probe(model.embed, pts, labels, [dist], n_classes=2,
                              epochs=20)
         assert probe.average_accuracy == pytest.approx(0.5, abs=1e-12)
+
+    def test_matches_per_batch_reference(self):
+        # trained on all batches' gathered embeddings and one-hot targets,
+        # with the softmax in place: the same classifier, bit for bit
+        rng = np.random.default_rng(3)
+        for n, n_classes, batch in ((40, 4, 32), (70, 10, 32), (9, 3, 4)):
+            z = rng.standard_normal((n, 4))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            labels = rng.integers(0, n_classes, size=n)
+            dist = TaskDistribution(points=z, labels=labels, mass=np.full(n, 1 / n))
+            for seed, epochs in ((0, 30), (1, 30), (2, 30), (3, 0)):
+                got = linear_probe(lambda x: x, z, labels, [dist], n_classes, epochs=epochs,
+                                   batch_size=batch, seed=seed)
+                assert got.per_task_accuracy == linear_probe_reference(
+                    lambda x: x, z, labels, [dist], n_classes, epochs=epochs,
+                    batch_size=batch, seed=seed)
 
     def test_missing_classes_flagged(self):
         pts = np.random.default_rng(2).standard_normal((10, 2))

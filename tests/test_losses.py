@@ -23,7 +23,7 @@ from cclab.data import make_blob_sequence
 from cclab.losses import (
     Temperatures,
     _anchor_tables,
-    _masked_softmax,
+    _batch_step,
     _population_terms,
     batch_terms,
     decomposition_residual,
@@ -34,7 +34,9 @@ from cclab.losses import (
     population_train_loss,
 )
 from tests.helpers import (
+    batch_terms_reference,
     masked_softmax_reference,
+    stacked_softmax_reference,
     oracle_ird,
     oracle_population_contrastive,
     oracle_population_distillation,
@@ -482,27 +484,88 @@ class TestEmpiricalDistillation:
 
 
 class TestMaskedSoftmax:
+    """The one masked softmax of a training step: the stacked SupCon,
+    current-IRD and past-IRD softmax that :func:`_batch_step` returns."""
+
     def test_rows_normalized_with_zero_diagonal(self):
         rng = np.random.default_rng(19)
-        z, _ = random_batch(rng)
+        z, labels = random_batch(rng)
         logits = (z @ z.T) / 0.3
-        lse, p = _masked_softmax(logits)
+        p = _batch_step(z[None], labels, Temperatures(contrastive=0.3))[3][0]
         assert p.shape == (8, 8)
         np.testing.assert_array_equal(np.diag(p), 0.0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        lse, _ = masked_softmax_reference(logits)
         off = ~np.eye(8, dtype=bool)
         np.testing.assert_allclose(np.exp(logits - lse[:, None])[off], p[off], atol=1e-12)
 
-    def test_stack_equals_slices_and_reference_bit_for_bit(self):
+    def test_stack_equals_slices_bit_for_bit_and_reference(self):
         rng = np.random.default_rng(29)
         for n in (2, 3, 8, 17, 64):
             z = rng.standard_normal((n, 4))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             zp = rng.standard_normal((n, 4))
             zp /= np.linalg.norm(zp, axis=1, keepdims=True)
+            labels = np.zeros(n, dtype=np.int64)
+            l_con, _, _, p = _batch_step(np.stack([z, zp]), labels, TEMPS)
+            alone = _batch_step(z[None], labels, TEMPS)
+            past = _batch_step(zp[None], labels, Temperatures(contrastive=0.01))
+            assert alone[0] == l_con
+            assert alone[3][0].tobytes() == p[0].tobytes()
+            assert past[3][0].tobytes() == p[2].tobytes()
             stack = np.stack([(z @ z.T) / 0.5, (z @ z.T) / 0.2, (zp @ zp.T) / 0.01])
-            lse, p = _masked_softmax(stack)
             for i in range(3):
-                for got in (_masked_softmax(stack[i]), masked_softmax_reference(stack[i])):
-                    assert got[0].tobytes() == lse[i].tobytes()
-                    assert got[1].tobytes() == p[i].tobytes()
+                for _, want in (masked_softmax_reference(stack[i]),
+                                stacked_softmax_reference(stack[i])):
+                    np.testing.assert_allclose(p[i], want, rtol=1e-12, atol=1e-300)
+
+
+def _rel(got, want, scale=0.0):
+    """Largest deviation over the larger of the largest entry and ``scale``."""
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), scale, 1e-300)
+
+
+class TestBatchStep:
+    """:func:`_batch_step` against the per-anchor step it replaced,
+    ``helpers.batch_terms_reference``."""
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    @pytest.mark.parametrize("tau_past", [0.01, 1e-3])
+    def test_losses_and_symmetrised_gradient_match_reference(self, n, tau_past):
+        rng = np.random.default_rng(n)
+        temps = Temperatures(distill_past=tau_past)
+        for _ in range(5):
+            z, labels = random_batch(rng, n_pairs=n // 2, d=4)
+            zp, _ = random_batch(rng, n_pairs=n // 2, d=4)
+            for past, lam in ((None, 0.0), (zp, 0.0), (zp, 0.7)):
+                want_con, g_con, want_dis, g_dis = batch_terms_reference(z, labels, temps, past)
+                want = g_con if past is None or lam == 0 else g_con + lam * g_dis
+                zs = z[None] if past is None else np.stack([z, past])
+                l_con, l_dis, g, _ = _batch_step(zs, labels, temps, lam)
+                assert l_con == pytest.approx(want_con, rel=1e-12, abs=1e-300)
+                assert l_dis == pytest.approx(want_dis, rel=1e-12, abs=1e-300)
+                # each entry sums softmax probabilities (at most 1) with these
+                # weights, which bounds it and scales its rounding error
+                weights = 1 / temps.contrastive + 2 * lam / temps.distill_current
+                assert _rel(g + g.T, want + want.T, weights) <= 1e-12
+
+    def test_stacked_call_is_bit_identical_to_its_slices(self):
+        rng = np.random.default_rng(31)
+        for n_pairs in (1, 2, 8, 32):
+            z, labels = random_batch(rng, n_pairs=n_pairs, d=4)
+            zp, _ = random_batch(rng, n_pairs=n_pairs, d=4)
+            alone = _batch_step(z[None], labels, TEMPS, 0.7)
+            stacked = _batch_step(np.stack([z, zp]), labels, TEMPS, 0.0)
+            assert stacked[0] == alone[0]
+            assert stacked[2].tobytes() == alone[2].tobytes()
+
+    def test_public_terms_split_the_gradient(self):
+        rng = np.random.default_rng(37)
+        z, labels = random_batch(rng)
+        zp, _ = random_batch(rng)
+        l_con, g_con, l_dis, g_dis = batch_terms(z, labels, TEMPS, zp)
+        _, _, g, _ = _batch_step(np.stack([z, zp]), labels, TEMPS, 0.7)
+        assert _rel(g_con + 0.7 * g_dis, g) <= 1e-12
+        ref = batch_terms_reference(z, labels, TEMPS, zp)
+        assert _rel(g_dis, ref[3]) <= 1e-12
+        assert (l_con, l_dis) == pytest.approx((ref[0], ref[2]), rel=1e-12)

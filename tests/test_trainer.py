@@ -22,7 +22,7 @@ from cclab.trainer import (
     save_checkpoint,
     sgd_step,
 )
-from tests.helpers import oracle_ird, oracle_supcon
+from tests.helpers import grad_total_reference, oracle_ird, oracle_supcon
 
 
 def small_batch(rng, n_pairs=4, d_in=2):
@@ -174,6 +174,30 @@ class TestGradients:
                            temps.distill_current, temps.distill_past)
         assert l_dis > 0
         assert l_dis == pytest.approx(e_dis / points.shape[0], abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 4), (2, 8, 4), (3, 6, 5, 4), (2, 5, 5, 5, 3)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_any_depth_matches_reference_step(self, dims, activation):
+        # the stacked forward and flat-buffer backward against one forward
+        # per encoder and a per-layer backward, with and without past rows
+        rng = np.random.default_rng(len(dims))
+        points, labels = small_batch(rng, d_in=dims[0])
+        enc = Encoder(dims, activation, seed=1)
+        prev = Encoder(dims, activation, seed=2)
+        for past, lam in ((None, 0.0), (prev, 0.0), (prev, 0.7)):
+            got = grad_total(enc, past, points, labels, lam, Temperatures())
+            want = grad_total_reference(enc, past, points, labels, lam, Temperatures())
+            assert got[:2] == pytest.approx(want[:2], rel=1e-12, abs=1e-300)
+            np.testing.assert_allclose(got[2], want[2], rtol=0,
+                                       atol=1e-12 * np.abs(want[2]).max())
+        assert finite_diff_check(enc, prev, points, labels, 0.7, Temperatures()) < 1e-4
+
+    def test_frozen_encoder_shares_the_architecture(self):
+        points, labels = small_batch(np.random.default_rng(6))
+        enc = Encoder((2, 8, 4), seed=0)
+        for prev in (Encoder((2, 6, 4), seed=1), Encoder((2, 8, 4), "relu", seed=1)):
+            with pytest.raises(ValueError):
+                grad_total(enc, prev, points, labels, 1.0, Temperatures())
 
     def test_descent_reduces_loss(self):
         rng = np.random.default_rng(4)
