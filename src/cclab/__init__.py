@@ -31,7 +31,6 @@ from .bounds import (
     constants,
     gamma,
     lemma1_slack,
-    min_con_surrogate,
     theorem1_lower,
     theorem1_upper,
     theorem2_step,
@@ -58,14 +57,10 @@ from .continual import (
     run_task,
 )
 from .data import (
-    IdxImageSet,
     ScenarioSpec,
     TaskData,
     example_weights,
-    idx_read,
-    idx_write,
     make_blob_sequence,
-    make_rotated_sequence,
     monte_carlo_contrastive,
     scenario_train_losses,
     scenario_weights,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MASS_TOL, EmbeddingModel, MixtureWeights, TaskDistribution, normalize_rows
-from .losses import _BLOCK, _population_terms, _stacked_terms, population_contrastive
+from .losses import _BLOCK, _population_terms, _stacked_terms
 
 E2 = math.exp(2.0)
 
@@ -99,31 +99,6 @@ def analytic_min_contrastive(k: int = 1) -> float:
     return math.log1p(k * math.exp(-2.0))
 
 
-def min_con_surrogate(
-    dist: TaskDistribution,
-    k: int = 1,
-    mode: str = "analytic",
-    seed: int = 0,
-    steps: int = 300,
-) -> float:
-    """Surrogate for the best achievable contrastive loss on ``dist``.
-
-    ``analytic`` returns the closed-form lower bound log(1 + k e^-2);
-    ``optimized`` trains a small encoder on the support and returns the
-    loss it reaches (an upper estimate of the minimum, not certified).
-    The upper-bound evaluator defaults to analytic: its coefficient is
-    non-positive, so plugging in a smaller value keeps the bound valid.
-    """
-    if mode == "analytic":
-        return analytic_min_contrastive(k)
-    if mode != "optimized":
-        raise ValueError(f"unknown surrogate mode {mode!r}")
-    from .trainer import fit_encoder_to_distribution
-
-    enc = fit_encoder_to_distribution(dist, seed=seed, steps=steps)
-    return population_contrastive(enc.snapshot(dist.points), dist, k)
-
-
 @functools.lru_cache(maxsize=64)
 def _theorem1_constants(k: int, T: int) -> tuple[BoundConstants, tuple[float, ...], float]:
     """constants(k), alpha**(T - t) for t = 1..T and the eta factor
@@ -185,7 +160,9 @@ def theorem1_upper(
     may be a scalar or one coefficient per task t = 2..T (the adaptive
     variant substitutes the per-task coefficient in each denominator).
     ``minf`` optionally supplies per-task best-achievable-loss values for
-    tasks 2..T; by default the analytic surrogate is used for all.
+    tasks 2..T; by default each is analytic_min_contrastive(k). Their
+    weight p * (1 - 1/gamma) is non-positive, so a value below the true
+    minimum keeps the bound valid and one above it does not.
     """
     losses, lams, c, powers, eta_factor = _theorem1_inputs(train_losses, weights, lam, k)
     T = len(losses)

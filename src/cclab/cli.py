@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +55,14 @@ class ConfigError(ValueError):
     pass
 
 
+SEED_KEYS = ("seed", "data_seed")  # any int seeds numpy; every other int must fit int64
+
+
 def _check_config(cfg, defaults: dict) -> None:
     """A config is a JSON object of known keys, each value of its default's
     type. An int may stand for a float and a bool only for a bool; a value
-    that stands for a float must be finite and fit one."""
+    that stands for a float must be finite and fit one, and an int count or
+    size must fit int64."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
     unknown = set(cfg) - set(defaults)
@@ -71,6 +74,8 @@ def _check_config(cfg, defaults: dict) -> None:
             raise ConfigError(f"{key} must be of type {want.__name__}, got {value!r}")
         if want is float and not abs(value) <= sys.float_info.max:  # NaN too
             raise ConfigError(f"{key} must be finite, got {value!r}")
+        if want is int and key not in SEED_KEYS and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{key} must fit a 64-bit integer, got {value!r}")
 
 
 def _load_config(path: str | None, defaults: dict) -> dict:
@@ -241,11 +246,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     result = run_sequence(tasks, run_cfg)
     enc, trace, buffer = result.encoder, result.trace, result.buffer
     probe = _probe_run(tasks, run_cfg, enc, buffer)
-    trace.probe = {
-        "per_task_accuracy": probe.per_task_accuracy,
-        "average_accuracy": probe.average_accuracy,
-        "missing_classes": probe.missing_classes,
-    }
+    trace.probe = asdict(probe)
     (out / "trace.json").write_text(trace.to_json())
     (out / "epochs.csv").write_text(trace.epoch_csv())
     save_checkpoint(
@@ -276,12 +277,7 @@ def cmd_probe(cfg: dict, out: Path) -> int:
         result = run_sequence(tasks, run_cfg)
         enc, buffer = result.encoder, result.buffer
     probe = _probe_run(tasks, run_cfg, enc, buffer)
-    doc = {
-        "per_task_accuracy": probe.per_task_accuracy,
-        "average_accuracy": probe.average_accuracy,
-        "missing_classes": probe.missing_classes,
-    }
-    (out / "probe.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    (out / "probe.json").write_text(json.dumps(asdict(probe), sort_keys=True, indent=2))
     lines = ["task,accuracy"] + [
         f"{i + 1},{a!r}" for i, a in enumerate(probe.per_task_accuracy)
     ]
@@ -366,9 +362,8 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         _check_config(cell, RUN_DEFAULTS)
         _run_from_config(cell)
     from concurrent.futures import ProcessPoolExecutor  # only sweep needs the process pool
-    workers = int(os.environ.get("CCL_THREADS", "0")) or None
     results, errors = [], []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor() as pool:
         for cell, res in zip(cells, pool.map(_sweep_cell_safe, cells)):
             if isinstance(res, str):
                 errors.append((cell[vary], cell["seed"], res))

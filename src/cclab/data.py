@@ -1,6 +1,5 @@
-"""Synthetic task-sequence generators, the worked weight constructions for
-the bound analysis, Monte Carlo population-loss estimation, and IDX-format
-image ingestion for a miniature real-data track.
+"""Synthetic blob task sequences, the worked weight constructions for the
+bound analysis, and Monte Carlo population-loss estimation.
 
 All randomness flows from one experiment seed through named sub-streams so
 components stay independently reproducible.
@@ -8,14 +7,11 @@ components stay independently reproducible.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import EmbeddingModel, MixtureWeights, TaskDistribution
-from .losses import logistic_link
 
 
 @dataclass(frozen=True)
@@ -81,50 +77,18 @@ def make_blob_sequence(
     return tasks
 
 
-def make_rotated_sequence(T: int, base: TaskData, seed: int = 0) -> list[TaskData]:
-    """Domain-shift sequence: each task applies a seeded random rotation in
-    [0, pi) to the 2-D base task. Classes are re-mapped per task so the
-    same base class in different tasks counts as distinct."""
-    if base.train.dimension != 2:
-        raise ValueError("rotated sequences are defined for 2-D data")
-    rng = np.random.default_rng(seed)
-    base_classes = np.unique(
-        np.concatenate([base.train.labels, base.test.labels])
-    )
-    n_cls = base_classes.size
-    remap = {c: i for i, c in enumerate(base_classes)}
-    tasks = []
-    for t in range(T):
-        theta = rng.uniform(0.0, np.pi)
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-
-        def relabel(dist: TaskDistribution) -> TaskDistribution:
-            labels = np.array(
-                [t * n_cls + remap[c] for c in dist.labels], dtype=np.int64
-            )
-            return TaskDistribution(
-                points=dist.points @ rot.T, labels=labels, mass=dist.mass
-            )
-
-        tasks.append(TaskData(train=relabel(base.train), test=relabel(base.test)))
-    return tasks
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A declared bound-analysis scenario: weight rule plus loss rule.
 
-    weight_rule: "example1" | "example2" | "example3" | "custom".
-    loss_rule: "equal" | "geometric" | "measured"; the first two declare
-    training-loss values directly, "measured" expects real trace values.
+    weight_rule: "example1" | "example2" | "example3".
+    loss_rule: "equal" | "geometric"; each declares training-loss values
+    directly.
     """
 
     T: int
     weight_rule: str = "example1"
     rho: float = 1.0
-    custom_weights: tuple = ()
     loss_rule: str = "equal"
     base_loss: float = 1.0
 
@@ -133,8 +97,6 @@ class ScenarioSpec:
             raise ValueError("scenarios need at least two tasks")
         if self.rho <= 0:
             raise ValueError("loss ratio must be positive")
-        if self.weight_rule == "custom" and len(self.custom_weights) != self.T - 1:
-            raise ValueError(f"custom scenarios need weights for tasks 2..{self.T}")
 
 
 def example_weights(spec: ScenarioSpec, t: int) -> MixtureWeights:
@@ -160,8 +122,6 @@ def example_weights(spec: ScenarioSpec, t: int) -> MixtureWeights:
             w = np.full(t - 1, 1.0 / t)
             w[0] = 2.9 / t
             w[1] = 0.1 / t
-    elif spec.weight_rule == "custom":
-        w = np.asarray(spec.custom_weights[t - 2], dtype=np.float64)
     else:
         raise ValueError(f"unknown weight rule {spec.weight_rule!r}")
     return MixtureWeights(task_index=t, weights=w)
@@ -177,9 +137,7 @@ def scenario_train_losses(spec: ScenarioSpec) -> list[float]:
         return [spec.base_loss] * spec.T
     if spec.loss_rule == "geometric":
         return [spec.base_loss * spec.rho**t for t in range(spec.T)]
-    raise ValueError(
-        "measured scenarios take loss values from a trace, not the scenario"
-    )
+    raise ValueError(f"unknown loss rule {spec.loss_rule!r}")
 
 
 def monte_carlo_contrastive(
@@ -230,106 +188,3 @@ def monte_carlo_contrastive(
     var = max(0.0, total_sq / draws - mean**2)
     se = np.sqrt(var / draws)
     return float(mean), float(se)
-
-
-# -- IDX binary format -----------------------------------------------------
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
-
-
-@dataclass(frozen=True)
-class IdxImageSet:
-    """Parsed IDX image/label pair; pixels scaled to [0, 1]."""
-
-    images: np.ndarray  # (n, rows, cols) float64
-    labels: np.ndarray  # (n,) int64
-
-
-class IdxFormatError(ValueError):
-    pass
-
-
-def idx_read(images_path: str | Path, labels_path: str | Path,
-             per_class: int | None = None) -> IdxImageSet:
-    """Read a big-endian IDX image file plus its companion label file.
-
-    ``per_class`` optionally subsets to the first so-many images of each
-    class, keeping desk-scale experiments fast.
-    """
-    img_blob = Path(images_path).read_bytes()
-    lab_blob = Path(labels_path).read_bytes()
-    if len(img_blob) < 16:
-        raise IdxFormatError("truncated image header")
-    magic, n, rows, cols = struct.unpack_from(">IIII", img_blob, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(f"bad image magic {magic:#010x}")
-    if len(img_blob) != 16 + n * rows * cols:
-        raise IdxFormatError("truncated image pixel stream")
-    if len(lab_blob) < 8:
-        raise IdxFormatError("truncated label header")
-    lmagic, ln = struct.unpack_from(">II", lab_blob, 0)
-    if lmagic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(f"bad label magic {lmagic:#010x}")
-    if ln != n:
-        raise IdxFormatError(f"image/label count mismatch ({n} vs {ln})")
-    if len(lab_blob) != 8 + ln:
-        raise IdxFormatError("truncated label stream")
-    images = (
-        np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-        .reshape(n, rows, cols)
-        .astype(np.float64)
-        / 255.0
-    )
-    labels = np.frombuffer(lab_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    if per_class is not None:
-        keep = []
-        for c in np.unique(labels):
-            keep.extend(np.flatnonzero(labels == c)[:per_class])
-        keep = np.sort(np.asarray(keep))
-        images, labels = images[keep], labels[keep]
-    return IdxImageSet(images=images, labels=labels)
-
-
-def idx_write(
-    images: np.ndarray, labels: np.ndarray,
-    images_path: str | Path, labels_path: str | Path,
-) -> None:
-    """Write an IDX pair (inverse of :func:`idx_read`, bit-exact)."""
-    images = np.asarray(images)
-    if images.dtype != np.uint8:
-        images = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
-
-
-def idx_task_sequence(
-    data: IdxImageSet, classes_per_task: int = 2, seed: int = 0,
-    test_frac: float = 0.2,
-) -> list[TaskData]:
-    """Split an image set into a class-incremental task sequence.
-
-    Images are flattened to vectors; consecutive class blocks form tasks.
-    """
-    rng = np.random.default_rng(seed)
-    flat = data.images.reshape(data.images.shape[0], -1)
-    classes = np.unique(data.labels)
-    if classes.size % classes_per_task:
-        raise ValueError("class count must divide evenly into tasks")
-    tasks = []
-    for start in range(0, classes.size, classes_per_task):
-        block = classes[start : start + classes_per_task]
-        idx = np.flatnonzero(np.isin(data.labels, block))
-        tr, te = _split_indices(idx.size, rng, test_frac)
-        tasks.append(
-            TaskData(
-                train=_uniform_dist(flat[idx[tr]], data.labels[idx[tr]]),
-                test=_uniform_dist(flat[idx[te]], data.labels[idx[te]]),
-            )
-        )
-    return tasks

@@ -331,33 +331,3 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
         raise ValueError("checkpoint sidecar disagrees with the binary's version or dims")
     params = np.frombuffer(blob, dtype="<f8", offset=offset)
     return Encoder._from_params(dims, manifest.get("activation", "tanh"), params), manifest
-
-
-def fit_encoder_to_distribution(
-    dist,
-    dim: int = 8,
-    hidden: int = 32,
-    seed: int = 0,
-    steps: int = 300,
-    lr: float = 0.1,
-    batch: int = 16,
-    jitter: float = 0.01,
-):
-    """Train a fresh encoder to minimize the batch contrastive loss on
-    samples from a finite distribution. Used as the optimized surrogate
-    for the best achievable loss."""
-    rng = np.random.default_rng(seed)
-    enc = Encoder((dist.dimension, hidden, dim), seed=seed)
-    cfg = SgdConfig(lr=lr, epochs=1, batch_size=batch, momentum=0.9, seed=seed)
-    velocity = np.zeros(enc.n_params)
-    temps = Temperatures()
-    for _ in range(steps):
-        idx = rng.choice(dist.size, size=min(batch, dist.size), p=dist.mass)
-        pts = np.repeat(dist.points[idx], 2, axis=0)
-        pts = pts + rng.normal(scale=jitter, size=pts.shape)
-        labels = np.repeat(dist.labels[idx], 2)
-        if np.unique(labels).size == labels.size:
-            continue  # no positives beyond paired views is fine; guard anyway
-        _, _, grad = grad_total(enc, None, pts, labels, 0.0, temps)
-        velocity = sgd_step(enc, grad, velocity, cfg)
-    return enc

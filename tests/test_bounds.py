@@ -20,7 +20,6 @@ from cclab.bounds import (
     lemma1_slack,
     lemma1_trials,
     main_text_beta_prime,
-    min_con_surrogate,
     random_distribution,
     ScheduleState,
     theorem1_lower,
@@ -296,16 +295,6 @@ class TestMinContrastive:
             dist = random_distribution(rng, 4, 3)
             f = random_table_model(dist, 4, rng)
             assert population_contrastive(f, dist, k) >= analytic_min_contrastive(k)
-
-    def test_surrogate_modes(self):
-        dist = random_distribution(np.random.default_rng(2), 4, 2)
-        assert min_con_surrogate(dist, mode="analytic") == pytest.approx(
-            analytic_min_contrastive(1)
-        )
-        opt = min_con_surrogate(dist, mode="optimized", steps=50)
-        assert opt >= analytic_min_contrastive(1) - 1e-12
-        with pytest.raises(ValueError):
-            min_con_surrogate(dist, mode="bogus")
 
 
 def uniform_weights(T):

@@ -204,7 +204,7 @@ class TestConfigHandling:
         ("sweep", dict(SMALL_TRAIN, seeds=[-1])),
         ("verify", {"support_size": 40, "ks": [40]}),  # C(79, 40) multisets
         ("verify", {"ks": [171]}),  # 171! overflows float64
-        ("bounds", {"scenario": "custom"}),  # no key supplies custom weights
+        ("bounds", {"scenario": "custom"}),  # an unknown weight rule
         ("bounds", {"base_loss": 0.0}),  # below log(1 + k e^-2): the bound rises in lambda
         ("bounds", {"k": 20}),  # log(1 + 20 e^-2) > the default base_loss
         ("train", dict(SMALL_TRAIN, tasks=3, batch_size=1)),  # no contrastive loss to weigh
@@ -213,6 +213,12 @@ class TestConfigHandling:
         ("train", {"tasks": 3, "mode": "theorem2", "lam0": 0}),  # U_t undefined at lambda = 0
         ("probe", dict(SMALL_TRAIN, mode="theorem2", lam0=0.0)),
         ("sweep", dict(SMALL_TRAIN, mode="theorem2", vary="lam0", values=[1.0, 0.0])),
+        ("bounds", {"loss_rule": "measured"}),  # an unknown loss rule
+        ("verify", {"trials": 10**30}),  # counts and sizes must fit int64
+        ("verify", {"dimension": 10**30}),
+        ("verify", {"embed_dim": 10**30}),
+        ("train", {"hidden": 10**30}),
+        ("bounds", {"k": 10**400}),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -395,8 +401,7 @@ class TestBounds:
 
 
 class TestSweep:
-    def test_mode_sweep(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CCL_THREADS", "2")
+    def test_mode_sweep(self, tmp_path):
         cfg = write_config(
             tmp_path, "s.json",
             dict(SMALL_TRAIN, vary="mode", values=["fixed", "max"], seeds=[0]),

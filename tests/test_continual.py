@@ -170,6 +170,9 @@ def tiny_config(mode="max", epochs=4, seed=0, **kw):
     )
 
 
+MODES = ["fixed", "pure", "min", "max", "theorem2"]
+
+
 class TestRunSequence:
     def test_structure_and_lambda_trace(self):
         tasks = make_blob_sequence(3, points_per_class=8, seed=0)
@@ -205,11 +208,14 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence([], tiny_config())
 
-    @pytest.mark.parametrize("mode", ["fixed", "pure", "min", "max", "theorem2"])
-    def test_matches_the_reference_step(self, mode):
+    @pytest.mark.parametrize("mode, d_in", [
+        *(pytest.param(m, 2, id=m) for m in MODES),
+        *(pytest.param(m, 5, id=f"{m}-d_in5") for m in MODES),  # augment's jitter-only path
+    ])
+    def test_matches_the_reference_step(self, mode, d_in):
         # the fused step against a loop of the step it replaced: two
         # augment calls, one forward per encoder, per-anchor batch losses
-        tasks = make_blob_sequence(3, points_per_class=8, seed=5)
+        tasks = make_blob_sequence(3, points_per_class=8, d_in=d_in, seed=5)
         cfg = tiny_config(mode=mode, seed=2, u_t=0.5, delta_t=0.25)
         res = run_sequence(tasks, cfg)
         trace, enc, buffer = run_sequence_reference(tasks, cfg)

@@ -1,7 +1,5 @@
-"""Synthetic data generators, the worked weight constructions, Monte Carlo
-cross-validation of the exact losses, and the IDX binary format."""
-
-import struct
+"""Synthetic data generators, the worked weight constructions, and Monte
+Carlo cross-validation of the exact losses."""
 
 import numpy as np
 import pytest
@@ -9,14 +7,9 @@ import pytest
 from cclab.bounds import random_distribution, turning_point
 from cclab.core import random_table_model
 from cclab.data import (
-    IdxFormatError,
     ScenarioSpec,
     example_weights,
-    idx_read,
-    idx_task_sequence,
-    idx_write,
     make_blob_sequence,
-    make_rotated_sequence,
     monte_carlo_contrastive,
     scenario_train_losses,
     scenario_weights,
@@ -49,29 +42,6 @@ class TestBlobSequence:
             make_blob_sequence(0)
         with pytest.raises(ValueError):
             make_blob_sequence(2, points_per_class=1)
-
-
-class TestRotatedSequence:
-    def test_distinct_class_ids_per_task(self):
-        base = make_blob_sequence(1, classes_per_task=2, points_per_class=10)[0]
-        tasks = make_rotated_sequence(3, base, seed=0)
-        seen = [set(t.train.labels) for t in tasks]
-        assert seen[0] == {0, 1}
-        assert seen[1] == {2, 3}
-        assert seen[2] == {4, 5}
-
-    def test_rotation_preserves_norms(self):
-        base = make_blob_sequence(1, points_per_class=10)[0]
-        tasks = make_rotated_sequence(2, base, seed=1)
-        np.testing.assert_allclose(
-            np.linalg.norm(tasks[0].train.points, axis=1),
-            np.linalg.norm(base.train.points, axis=1),
-        )
-
-    def test_requires_2d(self):
-        base = make_blob_sequence(1, d_in=3, points_per_class=10)[0]
-        with pytest.raises(ValueError):
-            make_rotated_sequence(2, base)
 
 
 class TestExampleWeights:
@@ -139,76 +109,3 @@ class TestMonteCarlo:
         f = random_table_model(dist, 4, np.random.default_rng(1))
         with pytest.raises(ValueError):
             monte_carlo_contrastive(f, dist, draws=0)
-
-
-def tiny_image_set(rng, n=12, side=4, n_classes=3):
-    images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
-    labels = np.repeat(np.arange(n_classes), n // n_classes).astype(np.uint8)
-    return images, labels
-
-
-class TestIdxFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        images, labels = tiny_image_set(rng)
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        idx_write(images, labels, ip, lp)
-        back = idx_read(ip, lp)
-        np.testing.assert_allclose(back.images, images / 255.0)
-        np.testing.assert_array_equal(back.labels, labels)
-
-    def test_big_endian_header(self, tmp_path):
-        rng = np.random.default_rng(1)
-        images, labels = tiny_image_set(rng)
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        idx_write(images, labels, ip, lp)
-        magic, n, rows, cols = struct.unpack(">IIII", ip.read_bytes()[:16])
-        assert (magic, n, rows, cols) == (0x803, 12, 4, 4)
-        lmagic, ln = struct.unpack(">II", lp.read_bytes()[:8])
-        assert (lmagic, ln) == (0x801, 12)
-
-    def test_per_class_subset(self, tmp_path):
-        rng = np.random.default_rng(2)
-        images, labels = tiny_image_set(rng)
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        idx_write(images, labels, ip, lp)
-        sub = idx_read(ip, lp, per_class=2)
-        assert sub.images.shape[0] == 6
-        counts = np.bincount(sub.labels)
-        np.testing.assert_array_equal(counts, [2, 2, 2])
-
-    def test_bad_image_magic(self, tmp_path):
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x999, 0, 1, 1))
-        lp.write_bytes(struct.pack(">II", 0x801, 0))
-        with pytest.raises(IdxFormatError, match="magic"):
-            idx_read(ip, lp)
-
-    def test_truncated_pixels(self, tmp_path):
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 3)
-        lp.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-        with pytest.raises(IdxFormatError, match="truncated"):
-            idx_read(ip, lp)
-
-    def test_count_mismatch(self, tmp_path):
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x803, 1, 2, 2) + b"\x00" * 4)
-        lp.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-        with pytest.raises(IdxFormatError, match="mismatch"):
-            idx_read(ip, lp)
-
-    def test_task_sequence(self, tmp_path):
-        rng = np.random.default_rng(3)
-        images = rng.integers(0, 256, size=(40, 3, 3), dtype=np.uint8)
-        labels = np.repeat(np.arange(4), 10).astype(np.uint8)
-        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-        idx_write(images, labels, ip, lp)
-        data = idx_read(ip, lp)
-        tasks = idx_task_sequence(data, classes_per_task=2, seed=0)
-        assert len(tasks) == 2
-        assert set(tasks[0].train.labels) <= {0, 1}
-        assert set(tasks[1].train.labels) <= {2, 3}
-        assert tasks[0].train.dimension == 9
-        with pytest.raises(ValueError):
-            idx_task_sequence(data, classes_per_task=3)
