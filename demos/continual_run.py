@@ -9,23 +9,9 @@ computed lower and upper bounds. Run with:  python3 demos/continual_run.py
 
 import numpy as np
 
-from cclab.continual import (
-    RunConfig,
-    linear_probe,
-    population_bound_check,
-    run_sequence,
-)
+from cclab.continual import RunConfig, population_bound_check, probe_run, run_sequence
 from cclab.data import make_blob_sequence
 from cclab.trainer import SgdConfig
-
-
-def probe_accuracy(tasks, res, seed):
-    pts = np.concatenate([tasks[-1].train.points, np.asarray(res.buffer.points)])
-    labs = np.concatenate([tasks[-1].train.labels, np.asarray(res.buffer.labels)])
-    return linear_probe(
-        res.encoder.forward, pts, labs, [t.test for t in tasks],
-        n_classes=10, epochs=100, seed=seed,
-    ).average_accuracy
 
 
 def main() -> None:
@@ -40,7 +26,7 @@ def main() -> None:
         )
         res = run_sequence(tasks, cfg)
         lams = ["-" if r.lam is None else f"{r.lam:.3f}" for r in res.trace.records]
-        acc = probe_accuracy(tasks, res, seed=0)
+        acc = probe_run(tasks, cfg, res.encoder).average_accuracy
         print(f"  {mode:>5}: probe accuracy {acc:.3f}, coefficients {lams}")
 
     # bound check on a fixed-coefficient run over a 3-task prefix

@@ -105,7 +105,10 @@ def _theorem1_constants(k: int, T: int) -> tuple[BoundConstants, tuple[float, ..
     (T - 1 - T*alpha + alpha^T) / (1 - alpha)^2, cached per (k, T)."""
     c = constants(k)
     alpha = c.alpha
-    eta_factor = (T - 1 - T * alpha + alpha**T) / (1.0 - alpha) ** 2
+    try:
+        eta_factor = (T - 1 - T * alpha + alpha**T) / (1.0 - alpha) ** 2
+    except OverflowError:
+        raise ValueError(f"alpha^T overflows float64 at k = {k}, T = {T}") from None
     return c, tuple(alpha ** (T - t) for t in range(1, T + 1)), eta_factor
 
 
@@ -303,7 +306,8 @@ def _worst_trials(trials, k, seed, n, d, e, alpha_corruption=0.0):
     rng = np.random.default_rng(seed)
     per_block = max(1, _BLOCK // (n * math.comb(n + k - 1, k)))
     worst = [np.inf, np.inf, 0.0]
-    for B in np.diff([*range(0, trials, per_block), trials]):  # block sizes
+    for start in range(0, trials, per_block):
+        B = min(per_block, trials - start)
         labels, mass, normals = _draw(rng, B, n, d, e)
         keys = (normals[:, : n * d].reshape(B, n, d) + 0.0).view(np.int64)  # TableModel keys
         src = n - 1 - (keys[:, :, None] == keys[:, None]).all(3)[:, :, ::-1].argmax(2)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    _theorem1_constants,
     analytic_min_contrastive,
     constants,
     decomposition_check_trials,
@@ -28,8 +29,8 @@ from .bounds import (
     theorem1_upper,
     turning_point,
 )
-from .continual import DegenerateTraining, RunConfig, linear_probe, run_sequence
-from .core import MAX_K
+from .continual import DegenerateTraining, RunConfig, probe_run, run_sequence
+from .core import MAX_K, MAX_TABLE_ENTRIES
 from .data import (
     ScenarioSpec,
     make_blob_sequence,
@@ -40,6 +41,7 @@ from .trainer import (
     Encoder,
     SgdConfig,
     Temperatures,
+    _param_count,
     finite_diff_check,
     load_checkpoint,
     save_checkpoint,
@@ -122,7 +124,6 @@ VERIFY_MINIMA = {
     "trials": 1, "support_size": 1, "dimension": 1, "embed_dim": 1, "grad_seeds": 0,
     "seed": 0,
 }
-MAX_TABLE_ENTRIES = 1 << 26  # most n * C(n+k-1, k) anchor-table entries verify accepts
 
 
 def cmd_verify(cfg: dict, out: Path) -> int:
@@ -135,6 +136,11 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     n = cfg["support_size"]
     if max(n * math.comb(n + k - 1, k) for k in ks) > MAX_TABLE_ENTRIES:
         raise ConfigError(f"support_size {n} and ks {ks} exceed {MAX_TABLE_ENTRIES} entries")
+    if n * (cfg["dimension"] + 2 * cfg["embed_dim"]) > MAX_TABLE_ENTRIES:  # a trial's normals
+        raise ConfigError(
+            f"support_size {n} with dimension {cfg['dimension']} and embed_dim "
+            f"{cfg['embed_dim']} exceeds {MAX_TABLE_ENTRIES} entries per trial"
+        )
     report = {"constants": {}, "lemma1": {}, "decomposition": {}, "gradients": {}}
     failures = []
     for k in cfg["ks"]:
@@ -224,28 +230,19 @@ def _run_from_config(cfg: dict):
             temps=Temperatures(**args[Temperatures]),
             **args[RunConfig],
         )
+        n_params = _param_count((cfg["d_in"], cfg["hidden"], cfg["embed_dim"]))
+        if n_params > MAX_TABLE_ENTRIES:
+            raise ValueError(f"an encoder of {n_params} parameters exceeds {MAX_TABLE_ENTRIES}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return tasks, run_cfg
 
 
-def _probe_run(tasks, run_cfg, enc, buffer):
-    last = tasks[-1].train
-    pts = list(last.points) + buffer.points
-    labs = list(last.labels) + buffer.labels
-    n_classes = int(max(np.max(t.train.labels) for t in tasks)) + 1
-    return linear_probe(
-        enc.forward, np.asarray(pts), np.asarray(labs),
-        [t.test for t in tasks], n_classes,
-        epochs=run_cfg.probe_epochs, seed=run_cfg.seed,
-    )
-
-
 def cmd_train(cfg: dict, out: Path) -> int:
     tasks, run_cfg = _run_from_config(cfg)
     result = run_sequence(tasks, run_cfg)
-    enc, trace, buffer = result.encoder, result.trace, result.buffer
-    probe = _probe_run(tasks, run_cfg, enc, buffer)
+    enc, trace = result.encoder, result.trace
+    probe = probe_run(tasks, run_cfg, enc)
     trace.probe = asdict(probe)
     (out / "trace.json").write_text(trace.to_json())
     (out / "epochs.csv").write_text(trace.epoch_csv())
@@ -265,18 +262,22 @@ def cmd_probe(cfg: dict, out: Path) -> int:
     tasks, run_cfg = _run_from_config(cfg)
     if cfg["checkpoint"]:
         try:
-            enc, _ = load_checkpoint(cfg["checkpoint"])
+            enc, sidecar = load_checkpoint(cfg["checkpoint"])
         except ValueError as exc:
             raise OSError(f"corrupt checkpoint {cfg['checkpoint']}: {exc}") from exc
         if enc.dims[0] != cfg["d_in"]:
             raise ConfigError(
                 f"checkpoint input width {enc.dims[0]} does not match d_in {cfg['d_in']}"
             )
-        buffer = run_sequence(tasks, run_cfg).buffer  # rebuild buffer state
+        # the buffer and the probe follow the seed, and the encoder must be the last task's
+        for key, name in (("seed", "seed"), ("task", "tasks")):
+            if sidecar.get(key) != cfg[name]:
+                raise ConfigError(
+                    f"checkpoint {key} {sidecar.get(key)!r} does not match {name} {cfg[name]!r}"
+                )
     else:
-        result = run_sequence(tasks, run_cfg)
-        enc, buffer = result.encoder, result.buffer
-    probe = _probe_run(tasks, run_cfg, enc, buffer)
+        enc = run_sequence(tasks, run_cfg).encoder
+    probe = probe_run(tasks, run_cfg, enc)
     (out / "probe.json").write_text(json.dumps(asdict(probe), sort_keys=True, indent=2))
     lines = ["task,accuracy"] + [
         f"{i + 1},{a!r}" for i, a in enumerate(probe.per_task_accuracy)
@@ -312,7 +313,7 @@ def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
         )
         weights = scenario_weights(spec)
         losses = scenario_train_losses(spec)
-        constants(cfg["k"])  # a bad k would otherwise skip every grid point
+        _theorem1_constants(cfg["k"], cfg["T"])  # a bad k or T would skip every grid point
         if min(losses) < analytic_min_contrastive(cfg["k"]):  # the bound's premise
             raise ValueError(f"training losses must be >= log(1 + k e^-2), got {min(losses)!r}")
     except ValueError as exc:
@@ -348,8 +349,7 @@ SWEEP_DEFAULTS = dict(RUN_DEFAULTS, vary="mode", values=["fixed", "max"], seeds=
 
 def _sweep_cell(cell: dict) -> float:
     tasks, run_cfg = _run_from_config(cell)
-    result = run_sequence(tasks, run_cfg)
-    return _probe_run(tasks, run_cfg, result.encoder, result.buffer).average_accuracy
+    return probe_run(tasks, run_cfg, run_sequence(tasks, run_cfg).encoder).average_accuracy
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:

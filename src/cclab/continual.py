@@ -62,6 +62,11 @@ class ReplayBuffer:
             self.labels[r] = int(label)
             self.tasks[r] = int(source_task)
 
+    def add_task(self, task: TaskData, t: int) -> None:
+        """Stream task ``t``'s training points into the reservoir, in order."""
+        for p, c in zip(task.train.points, task.train.labels):
+            self.insert(p, int(c), t)
+
     def composition(self) -> dict[int, int]:
         """Stored sample count per source task."""
         out: dict[int, int] = {}
@@ -320,8 +325,7 @@ def run_task(
         final_dis = dis_sum / len(starts)
         trace.epoch_rows.append((t, epoch, final_con, final_dis, lam))
 
-    for p, c in zip(train.points, train.labels):
-        buffer.insert(p, int(c), t)
+    buffer.add_task(task, t)
     if t >= 2:
         schedule.record_task(final_con, final_dis, buffer)
     trace.records.append(
@@ -347,19 +351,18 @@ class RunResult:
     buffer: ReplayBuffer
 
 
+def _seeded_state(cfg: RunConfig) -> tuple[dict[str, np.random.Generator], ReplayBuffer]:
+    """The run seed's batching and augmentation generators and its empty replay buffer."""
+    batching, augmenting, buffering = np.random.SeedSequence(cfg.seed).spawn(3)
+    rngs = {"batching": np.random.default_rng(batching), "augment": np.random.default_rng(augmenting)}
+    return rngs, ReplayBuffer(cfg.buffer_size, seed=int(buffering.generate_state(1)[0]))
+
+
 def run_sequence(tasks: list[TaskData], cfg: RunConfig) -> RunResult:
     """Execute the full task loop, threading model, buffer and schedule."""
     if not tasks:
         raise ValueError("need at least one task")
-    ss = np.random.SeedSequence(cfg.seed)
-    batching, augmenting, buffering = ss.spawn(3)
-    rngs = {
-        "batching": np.random.default_rng(batching),
-        "augment": np.random.default_rng(augmenting),
-    }
-    buffer = ReplayBuffer(
-        capacity=cfg.buffer_size, seed=int(buffering.generate_state(1)[0])
-    )
+    rngs, buffer = _seeded_state(cfg)
     schedule = LambdaSchedule.from_config(cfg)
     trace = ExperimentTrace(config=asdict(cfg))
     enc = None
@@ -491,4 +494,21 @@ def linear_probe(
         per_task_accuracy=accs,
         average_accuracy=float(np.mean(accs)),
         missing_classes=missing,
+    )
+
+
+def probe_run(tasks: list[TaskData], cfg: RunConfig, encoder: Encoder) -> ProbeResult:
+    """``linear_probe`` of the encoder on the last task plus the run's final
+    replay buffer, over every class seen, for ``cfg.probe_epochs`` epochs
+    from the run seed. The buffer is rebuilt from the task stream alone:
+    reservoir insertion never reads the encoder."""
+    _, buffer = _seeded_state(cfg)
+    for t, task in enumerate(tasks, start=1):
+        buffer.add_task(task, t)
+    last = tasks[-1].train
+    return linear_probe(
+        encoder.forward, np.asarray([*last.points, *buffer.points]),
+        np.asarray([*last.labels, *buffer.labels]), [t.test for t in tasks],
+        int(max(np.max(t.train.labels) for t in tasks)) + 1,
+        epochs=cfg.probe_epochs, seed=cfg.seed,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,9 @@ import numpy as np
 NORM_TOL = 1e-12
 MASS_TOL = 1e-12
 MAX_K = 170  # the most negatives: the largest k whose k! is finite in float64
+# the most entries of one array a config may shape: n * C(n+k-1, k) multiset
+# counts, a trial's draw, an encoder's parameters, a blob sequence's points
+MAX_TABLE_ENTRIES = 1 << 26
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -210,12 +214,15 @@ def negative_multisets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ordered k-tuples that sort to J. Only the (M, k) index rows and the
     multiplicities are cached per (n, k), O(k * M) bytes; the counts are
     formed from the index rows on each call, in one scatter-add. Both
-    arrays are read-only; k runs from 1 to ``MAX_K``.
+    arrays are read-only; k runs from 1 to ``MAX_K``, and the counts may
+    hold at most ``MAX_TABLE_ENTRIES`` entries, checked before any work.
     """
     if k < 1:
         raise ValueError("need at least one negative sample")
     if k > MAX_K:
         raise ValueError(f"at most {MAX_K} negative samples, got {k}")
+    if n * math.comb(n + k - 1, k) > MAX_TABLE_ENTRIES:
+        raise ValueError(f"n = {n}, k = {k} needs more than {MAX_TABLE_ENTRIES} count entries")
     rows, multiplicity = _multiset_rows(n, k)
     counts = np.zeros((n, len(rows)))  # laid out so that counts.T is C-contiguous for BLAS
     np.add.at(counts.ravel(), rows * len(rows) + np.arange(len(rows))[:, None], 1.0)

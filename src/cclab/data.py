@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingModel, MixtureWeights, TaskDistribution
+from .core import MAX_TABLE_ENTRIES, EmbeddingModel, MixtureWeights, TaskDistribution
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ def make_blob_sequence(
     """
     if T < 1 or classes_per_task < 1 or points_per_class < 2 or d_in < 2:
         raise ValueError("sizes must be positive (and >= 2 points per class)")
+    if T * classes_per_task * points_per_class * d_in > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a blob sequence of more than {MAX_TABLE_ENTRIES} coordinates")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     n_classes = T * classes_per_task
     angles = 2 * np.pi * np.arange(n_classes) / n_classes

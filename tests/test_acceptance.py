@@ -25,6 +25,7 @@ from cclab.continual import (
     RunConfig,
     linear_probe,
     population_bound_check,
+    probe_run,
     run_sequence,
 )
 from cclab.core import ConstantModel, MixtureWeights, TaskDistribution
@@ -199,14 +200,8 @@ def ablation_run(mode, seed):
         probe_epochs=100,
     )
     res = run_sequence(tasks, cfg)
-    pts = np.concatenate([tasks[-1].train.points, np.asarray(res.buffer.points)])
-    labs = np.concatenate([tasks[-1].train.labels, np.asarray(res.buffer.labels)])
-    probe = linear_probe(
-        res.encoder.forward, pts, labs, [t.test for t in tasks],
-        n_classes=10, epochs=100, seed=seed,
-    )
     lams = [r.lam for r in res.trace.records[1:]]
-    return probe.average_accuracy, lams
+    return probe_run(tasks, cfg, res.encoder).average_accuracy, lams
 
 
 def test_criterion_09_adaptive_coefficient_ablation():

@@ -249,6 +249,20 @@ class TestStackedTrials:
         monkeypatch.setattr(losses, "_BLOCK", 7 * 120)  # M = 120 at (8, 3)
         self.check(monkeypatch, 8, 3, 4, 2)
 
+    def test_huge_trial_count_builds_no_block_list(self, monkeypatch):
+        # 2**62 trials walk their blocks lazily: the first block is drawn and
+        # evaluated at once, before anything sized by the trial count
+        class FirstBlock(Exception):
+            pass
+
+        def first_block(emb_t, *args):
+            raise FirstBlock(emb_t.shape[0])
+
+        monkeypatch.setattr(bounds, "_stacked_terms", first_block)
+        with pytest.raises(FirstBlock) as info:
+            lemma1_trials(2**62, 1, support_size=4)
+        assert info.value.args == (losses._BLOCK // (4 * 4),)  # n * C(n, 1) entries a trial
+
     def test_repeated_point_takes_later_vector(self, monkeypatch):
         # rows 0 and 2 are the same point up to the sign of zero, and row 3
         # of f_t's table is degenerate: the stacked embeddings must be what

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cclab import cli
 from cclab.cli import (
     BOUNDS_DEFAULTS,
     EXIT_CONFIG,
@@ -219,6 +220,12 @@ class TestConfigHandling:
         ("verify", {"embed_dim": 10**30}),
         ("train", {"hidden": 10**30}),
         ("bounds", {"k": 10**400}),
+        ("bounds", {"T": 2000}),  # alpha^T overflows float64
+        ("verify", {"dimension": 2**62, "trials": 1, "ks": [1], "grad_seeds": 0}),  # the draw
+        ("verify", {"embed_dim": 2**62, "trials": 1, "ks": [1], "grad_seeds": 0}),
+        ("train", {"hidden": 2**62}),  # the encoder's parameters
+        ("train", {"embed_dim": 2**62}),
+        ("train", {"tasks": 2**62}),  # the blob data
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -367,6 +374,36 @@ class TestProbe:
         )
         out = tmp_path / "p"
         assert main(["probe", "--config", pcfg, "--out", str(out)]) == EXIT_OK
+
+    def test_checkpoint_probe_equals_probe_and_does_not_train(self, tmp_path, monkeypatch):
+        # the buffer is rebuilt from the config's task stream, so probing the
+        # trained checkpoint writes what probing after training writes
+        cfg = write_config(tmp_path, "t.json", dict(SMALL_TRAIN, tasks=3, buffer_size=5))
+        train_out, fresh, out = tmp_path / "t", tmp_path / "fresh", tmp_path / "p"
+        assert main(["train", "--config", cfg, "--out", str(train_out)]) == EXIT_OK
+        assert main(["probe", "--config", cfg, "--out", str(fresh)]) == EXIT_OK
+
+        def no_training(*args):
+            raise AssertionError("probe --checkpoint ran training")
+
+        monkeypatch.setattr(cli, "run_sequence", no_training)
+        pcfg = write_config(tmp_path, "p.json", dict(
+            SMALL_TRAIN, tasks=3, buffer_size=5, checkpoint=str(train_out / "final.ckpt")))
+        assert main(["probe", "--config", pcfg, "--out", str(out)]) == EXIT_OK
+        for name in ("probe.json", "probe.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("seed", 1), ("task", 3)])
+    def test_checkpoint_of_another_run_is_config_error(self, tmp_path, capsys, key, value):
+        # SMALL_TRAIN's run has seed 0 and 2 tasks
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 32, 8), seed=0), ckpt, **{"seed": 0, "task": 2, key: value})
+        cfg = write_config(tmp_path, "p.json", dict(SMALL_TRAIN, checkpoint=str(ckpt)))
+        code = main(["probe", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"configuration error: checkpoint {key} {value} ")
+        assert err.count("\n") == 1
 
     def test_input_width_mismatch_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"

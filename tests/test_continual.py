@@ -15,9 +15,10 @@ from cclab.continual import (
     class_balanced_batches,
     linear_probe,
     population_bound_check,
+    probe_run,
     run_sequence,
 )
-from cclab import losses
+from cclab import continual, losses
 from cclab.core import ConstantModel, MixtureWeights, TableModel, TaskDistribution
 from cclab.data import make_blob_sequence
 from cclab.losses import population_test_loss
@@ -350,6 +351,28 @@ class TestClassBalancedBatches:
                  + class_balanced_batches(labels, 5, 7, two))
         for a, b in zip(joined, split, strict=True):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_probe_rebuilds_the_final_buffer(self, monkeypatch, mode):
+        # probe_run streams the tasks into a fresh reservoir, which must end
+        # as the run's buffer ended, generator state included
+        tasks = make_blob_sequence(5, points_per_class=8, seed=5)
+        cfg = tiny_config(mode=mode, seed=2, u_t=0.5, delta_t=0.25)
+        res = run_sequence(tasks, cfg)
+        seeded, rebuilt = continual._seeded_state, []
+        monkeypatch.setattr(continual, "_seeded_state",
+                            lambda c: rebuilt.append(seeded(c)) or rebuilt[-1])
+        probe = probe_run(tasks, cfg, res.encoder)
+        (_, buf), want = rebuilt[0], res.buffer
+        assert buf.stream_count == want.stream_count > cfg.buffer_size
+        assert (buf.labels, buf.tasks) == (want.labels, want.tasks)
+        np.testing.assert_array_equal(buf.points, want.points)
+        assert buf._rng.bit_generator.state == want._rng.bit_generator.state
+        # the probe itself: last task plus the run's buffer, every class seen
+        pts = np.concatenate([tasks[-1].train.points, np.asarray(want.points)])
+        labs = np.concatenate([tasks[-1].train.labels, np.asarray(want.labels)])
+        assert probe == linear_probe(res.encoder.forward, pts, labs, [t.test for t in tasks],
+                                     n_classes=10, epochs=cfg.probe_epochs, seed=cfg.seed)
 
 
 class TestLinearProbe:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab import core
 from cclab.core import (
     MAX_K,
     ConstantModel,
@@ -24,6 +26,7 @@ from cclab.core import (
     normalize_rows,
     positive_pairs,
     random_table_model,
+    stacked_negative_weights,
 )
 from tests.helpers import (
     DictTableModel,
@@ -273,6 +276,25 @@ class TestOutcomeSpace:
         assert time.perf_counter() - start < 0.5
         counts, multiplicity = negative_multisets(1, MAX_K)  # one multiset, once
         assert counts.tolist() == [[float(MAX_K)]] and multiplicity.tolist() == [1.0]
+
+    def test_table_above_the_cap_rejected_before_any_allocation(self, monkeypatch):
+        # a 64-point mixture at k = 5: 64 * C(68, 5) ~ 6.7e8 count entries
+        mass = np.full(64, 1 / 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="count entries"):
+                negative_multisets(64, 5)
+            with pytest.raises(ValueError, match="count entries"):
+                stacked_negative_weights(mass, 5)  # the exact pass's entry
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 4 * 10)  # 4 points, C(5, 2) multisets
+        assert negative_multisets(4, 2)[0].shape == (10, 4)
+        monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 4 * 10 - 1)
+        with pytest.raises(ValueError, match="count entries"):
+            negative_multisets(4, 2)
 
 
 class TestModels:
