@@ -238,6 +238,11 @@ def _run_from_config(cfg: dict):
     return tasks, run_cfg
 
 
+# config keys a train run records in its checkpoint's sidecar, beside its
+# seed and task count, so a probe on another task stream or buffer is refused
+STREAM_KEYS = ("data_seed", "classes_per_task", "points_per_class", "buffer_size")
+
+
 def cmd_train(cfg: dict, out: Path) -> int:
     tasks, run_cfg = _run_from_config(cfg)
     result = run_sequence(tasks, run_cfg)
@@ -249,6 +254,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     save_checkpoint(
         enc, out / "final.ckpt", seed=cfg["seed"], task=cfg["tasks"],
         lam=trace.records[-1].lam or 0.0, temps=run_cfg.temps,
+        **{key: cfg[key] for key in STREAM_KEYS},
     )
     print(f"train: {cfg['tasks']} tasks done, avg probe accuracy "
           f"{probe.average_accuracy:.3f}")
@@ -269,8 +275,11 @@ def cmd_probe(cfg: dict, out: Path) -> int:
             raise ConfigError(
                 f"checkpoint input width {enc.dims[0]} does not match d_in {cfg['d_in']}"
             )
-        # the buffer and the probe follow the seed, and the encoder must be the last task's
-        for key, name in (("seed", "seed"), ("task", "tasks")):
+        # the buffer and the probe follow the seed and the task stream, and the
+        # encoder must be the last task's; a sidecar without the stream keys
+        # is checked on the seed and task only
+        recorded = [(key, key) for key in STREAM_KEYS if key in sidecar]
+        for key, name in (("seed", "seed"), ("task", "tasks"), *recorded):
             if sidecar.get(key) != cfg[name]:
                 raise ConfigError(
                     f"checkpoint {key} {sidecar.get(key)!r} does not match {name} {cfg[name]!r}"

@@ -5,8 +5,10 @@ threshold-scheduler hook, and linear-probe evaluation on frozen
 representations.
 
 A run owns all of its state; with a fixed seed the whole sequence is
-bit-reproducible (training is sequential). A batch's step, about 130 numpy
-operations, is one ``augment`` call, one ``grad_total`` and one ``sgd_step``.
+bit-reproducible (training is sequential). Each task's stream, every epoch's
+batch order and both augmented views of every batch, is drawn before its
+first step, in chunks of whole epochs (one ``augment`` call per task at
+small shapes); a step is then one ``grad_total`` and one ``sgd_step``.
 """
 
 from __future__ import annotations
@@ -169,24 +171,32 @@ def adaptive_lambda(schedule: LambdaSchedule, t: int) -> float:
     return max(schedule.lam0, r)  # max
 
 
-def augment(points: np.ndarray, rng: np.random.Generator,
+def augment(points: np.ndarray, rng: np.random.Generator, batch_size: int | None = None,
             jitter: float = 0.05, max_angle_deg: float = 15.0) -> np.ndarray:
-    """Label-preserving stochastic view: Gaussian jitter, plus a small
+    """Label-preserving stochastic views: Gaussian jitter, plus a small
     random rotation for 2-D inputs.
 
-    A (V, n, d) stack gets one view per slice, bit for bit as V calls draw them.
+    ``points`` is (n, d), a (V, n, d) stack of V views of n points, or an
+    (E, V, n, d) stack of E such blocks. The draws run block by block, then
+    batch of ``batch_size`` rows by batch (one batch by default), then view
+    by view, so every view is bit for bit what one call per batch on its
+    (V, b, d) slice draws, and the generator ends in the same state.
     """
     points = np.atleast_2d(points)
-    views = points.reshape(-1, *points.shape[-2:])
-    rotate = views.shape[-1] == 2
-    out = np.empty(views.shape)
-    theta = np.empty(views.shape[:-1])
-    for noise, angle in zip(out, theta):
-        rng.standard_normal(out=noise)  # normal(scale=jitter) is jitter times this
-        if rotate:
-            rng.random(out=angle)  # uniform(-1, 1) is 2 u - 1 of this
+    n, d = points.shape[-2:]
+    shape = points.shape if points.ndim > 2 else (1, n, d)
+    rotate = d == 2
+    out = np.empty(shape)
+    theta = np.empty(shape[:-1])
+    step = batch_size or max(n, 1)
+    for block, angles in zip(out.reshape(-1, *shape[-3:]), theta.reshape(-1, *shape[-3:-1])):
+        for start in range(0, n, step):
+            for noise, angle in zip(block[:, start : start + step], angles[:, start : start + step]):
+                rng.standard_normal(out=noise)  # normal(scale=jitter) is jitter times this
+                if rotate:
+                    rng.random(out=angle)  # uniform(-1, 1) is 2 u - 1 of this
     out *= jitter
-    out += views
+    out += points
     if rotate:  # (x, y) -> (c x - s y, c y + s x), as (c x, c y) + (-s y, s x)
         np.multiply(theta * 2.0 - 1.0, np.deg2rad(max_angle_deg), out=theta)
         turned = out[..., ::-1] * np.sin(theta)[..., None]
@@ -194,6 +204,28 @@ def augment(points: np.ndarray, rng: np.random.Generator,
         out *= np.cos(theta)[..., None]
         out += turned
     return out.reshape(points.shape)
+
+
+# the views and rotation angles a task's training stream holds at once
+VIEW_ENTRIES = 1 << 15
+
+
+def epoch_views(pts: np.ndarray, labs: np.ndarray, epochs: int, batch_size: int,
+                rngs: dict[str, np.random.Generator]):
+    """A task's training stream: per epoch, its (2n, d) rows, each point of
+    the epoch's batch order as two augmented views in adjacent rows, and
+    their (2n,) labels. Drawn in chunks of whole epochs of at most about
+    ``VIEW_ENTRIES`` views and angles (one epoch if it alone is larger), each
+    chunk one permutation per epoch and one ``augment`` call."""
+    n, d = pts.shape
+    per_chunk = max(1, VIEW_ENTRIES // (2 * n * (d + 1)))
+    for first in range(0, epochs, per_chunk):
+        orders = np.array([rngs["batching"].permutation(n)
+                           for _ in range(min(per_chunk, epochs - first))])
+        twice = np.broadcast_to(pts[orders][:, None], (len(orders), 2, n, d))
+        views = augment(twice, rngs["augment"], batch_size)
+        yield from zip(views.swapaxes(1, 2).reshape(len(orders), 2 * n, d),
+                       labs[orders].repeat(2, axis=1))
 
 
 @dataclass
@@ -302,27 +334,20 @@ def run_task(
         lam = adaptive_lambda(schedule, t)
 
     velocity = np.zeros(enc.n_params)
-    batch_rng = rngs["batching"]
-    aug_rng = rngs["augment"]
-    n, d = pts.shape
-    starts = range(0, n, cfg.sgd.batch_size)
-    for epoch in range(cfg.sgd.epochs):
-        # each batch point twice, for its two views; labels for their interleaved rows
-        order = batch_rng.permutation(n)
-        twice = pts[order][None].repeat(2, axis=0)
-        vlabs = labs[order].repeat(2)
+    batch = cfg.sgd.batch_size
+    spans = [slice(2 * start, 2 * (start + batch)) for start in range(0, len(pts), batch)]
+    stream = epoch_views(pts, labs, cfg.sgd.epochs, batch, rngs)
+    for epoch, (rows, vlabs) in enumerate(stream):
         con_sum = dis_sum = 0.0
-        for start in starts:
-            views = augment(twice[:, start : start + cfg.sgd.batch_size], aug_rng)
+        for span in spans:
             l_con, l_dis, grad = grad_total(
-                enc, enc_prev, views.swapaxes(0, 1).reshape(-1, d),
-                vlabs[2 * start : 2 * (start + cfg.sgd.batch_size)], lam or 0.0, cfg.temps,
+                enc, enc_prev, rows[span], vlabs[span], lam or 0.0, cfg.temps
             )
             velocity = sgd_step(enc, grad, velocity, cfg.sgd)
             con_sum += l_con
             dis_sum += l_dis
-        final_con = con_sum / len(starts)
-        final_dis = dis_sum / len(starts)
+        final_con = con_sum / len(spans)
+        final_dis = dis_sum / len(spans)
         trace.epoch_rows.append((t, epoch, final_con, final_dis, lam))
 
     buffer.add_task(task, t)

@@ -97,6 +97,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.T < 2:
             raise ValueError("scenarios need at least two tasks")
+        if self.T * (self.T - 1) // 2 > MAX_TABLE_ENTRIES:  # the weights of tasks 2..T
+            raise ValueError(f"T = {self.T} needs more than {MAX_TABLE_ENTRIES} mixture weights")
         if self.rho <= 0:
             raise ValueError("loss ratio must be positive")
 

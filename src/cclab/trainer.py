@@ -276,9 +276,12 @@ def save_checkpoint(
     task: int = 0,
     lam: float = 0.0,
     temps: Temperatures | None = None,
+    **run,
 ) -> None:
     """Versioned little-endian binary: magic, layer count, dims, f64
-    parameter stream; plus a JSON sidecar manifest at <path>.json."""
+    parameter stream; plus a JSON sidecar manifest at <path>.json. Further
+    keyword values (a run's data shape and buffer size, say) are recorded
+    in the sidecar under their own names."""
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -286,6 +289,7 @@ def save_checkpoint(
         fh.write(struct.pack(f"<{len(enc.dims)}I", *enc.dims))
         fh.write(enc.params.astype("<f8").tobytes())
     manifest = {
+        **run,
         "version": CHECKPOINT_VERSION,
         "dims": list(enc.dims),
         "seed": seed,

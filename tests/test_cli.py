@@ -226,6 +226,7 @@ class TestConfigHandling:
         ("train", {"hidden": 2**62}),  # the encoder's parameters
         ("train", {"embed_dim": 2**62}),
         ("train", {"tasks": 2**62}),  # the blob data
+        ("bounds", {"T": 100000, "k": 8, "base_loss": 4.0}),  # T(T - 1)/2 mixture weights
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -393,7 +394,8 @@ class TestProbe:
         for name in ("probe.json", "probe.csv"):
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
-    @pytest.mark.parametrize("key, value", [("seed", 1), ("task", 3)])
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1), ("task", 3), ("data_seed", 5), ("buffer_size", 3)])
     def test_checkpoint_of_another_run_is_config_error(self, tmp_path, capsys, key, value):
         # SMALL_TRAIN's run has seed 0 and 2 tasks
         ckpt = tmp_path / "model.ckpt"
@@ -403,6 +405,22 @@ class TestProbe:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith(f"configuration error: checkpoint {key} {value} ")
+        assert err.count("\n") == 1
+
+    def test_train_checkpoint_refuses_another_task_stream(self, tmp_path, capsys):
+        # train records its data shape and buffer size beside its seed
+        cfg = write_config(tmp_path, "t.json", SMALL_TRAIN)
+        train_out = tmp_path / "t"
+        assert main(["train", "--config", cfg, "--out", str(train_out)]) == EXIT_OK
+        sidecar = json.loads((train_out / "final.ckpt.json").read_text())
+        for key in ("data_seed", "classes_per_task", "points_per_class", "buffer_size"):
+            assert sidecar[key] == dict(RUN_DEFAULTS, **SMALL_TRAIN)[key]
+        capsys.readouterr()
+        pcfg = write_config(tmp_path, "p.json", dict(
+            SMALL_TRAIN, data_seed=5, checkpoint=str(train_out / "final.ckpt")))
+        assert main(["probe", "--config", pcfg, "--out", str(tmp_path / "p")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: checkpoint data_seed 0 ")
         assert err.count("\n") == 1
 
     def test_input_width_mismatch_is_config_error(self, tmp_path, capsys):

@@ -157,6 +157,48 @@ class TestAugment:
         one, ref = np.random.default_rng(3), np.random.default_rng(3)
         np.testing.assert_array_max_ulp(augment(pts, one), augment_reference(pts, ref), maxulp=1)
 
+    @pytest.mark.parametrize("n, d", [(66, 2), (66, 5), (10, 2), (10, 5)])
+    def test_task_stream_matches_per_batch_reference_calls(self, monkeypatch, n, d):
+        # each epoch's rows are its batches' two augment_reference views,
+        # interleaved, whether the chunk holds one epoch or all of them;
+        # 66 points at batch 32 end in a ragged batch, 10 fit in one
+        pts = np.random.default_rng(n + d).standard_normal((n, d))
+        labs = np.arange(n) % 3
+        for budget in (1, continual.VIEW_ENTRIES):
+            monkeypatch.setattr(continual, "VIEW_ENTRIES", budget)
+            rngs = {"batching": np.random.default_rng(1), "augment": np.random.default_rng(2)}
+            batch_rng, aug_rng = np.random.default_rng(1), np.random.default_rng(2)
+            stream = list(continual.epoch_views(pts, labs, 3, 32, rngs))
+            assert len(stream) == 3
+            for rows, vlabs in stream:
+                order = batch_rng.permutation(n)
+                want = []
+                for start in range(0, n, 32):
+                    idx = order[start : start + 32]
+                    views = [augment_reference(pts[idx], aug_rng) for _ in range(2)]
+                    want.append(np.stack(views, axis=1).reshape(-1, d))
+                np.testing.assert_array_equal(rows, np.concatenate(want))
+                np.testing.assert_array_equal(vlabs, labs[order].repeat(2))
+            assert rngs["batching"].bit_generator.state == batch_rng.bit_generator.state
+            assert rngs["augment"].bit_generator.state == aug_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, chunks", [(6000, [1, 1, 1, 1, 1]), (2000, [2, 2, 1])])
+    def test_task_stream_chunks_hold_whole_epochs_within_the_budget(self, monkeypatch, n, chunks):
+        # at 2-D, an epoch holds 2 n (2 + 1) views and angles: 36000 entries
+        # at n = 6000 exceed the 2**15 budget alone, 12000 at n = 2000 fit twice
+        shapes = []
+
+        def recording(points, *args):
+            shapes.append(points.shape)
+            return augment(points, *args)
+
+        monkeypatch.setattr(continual, "augment", recording)
+        rngs = {"batching": np.random.default_rng(0), "augment": np.random.default_rng(0)}
+        pts = np.zeros((n, 2))
+        stream = continual.epoch_views(pts, np.zeros(n, dtype=np.int64), 5, 32, rngs)
+        assert sum(1 for _ in stream) == 5
+        assert shapes == [(e, 2, n, 2) for e in chunks]
+
 
 def tiny_config(mode="max", epochs=4, seed=0, **kw):
     return RunConfig(
@@ -195,6 +237,31 @@ class TestRunSequence:
         )
         c = run_sequence(tasks, tiny_config(seed=4))
         assert a.trace.to_json() != c.trace.to_json()
+
+    @pytest.mark.parametrize("d_in", [2, 5])
+    def test_stream_chunking_leaves_the_run_unchanged(self, monkeypatch, d_in):
+        # one epoch per augment call or all of a task's epochs in one: the
+        # same traces, epoch rows and parameters, byte for byte
+        tasks = make_blob_sequence(3, points_per_class=8, d_in=d_in, seed=4)
+        cfg = tiny_config(mode="theorem2", epochs=5, seed=1, u_t=0.5, delta_t=0.25)
+        calls = []
+
+        def counting(points, *args):
+            calls.append(points.shape[0])
+            return augment(points, *args)
+
+        monkeypatch.setattr(continual, "augment", counting)
+        runs = []
+        for budget, chunks in ((1, [1] * 15), (1 << 40, [5] * 3)):
+            monkeypatch.setattr(continual, "VIEW_ENTRIES", budget)
+            calls.clear()
+            runs.append(run_sequence(tasks, cfg))
+            assert calls == chunks
+        a, b = runs
+        assert a.trace.to_json() == b.trace.to_json()
+        assert a.trace.epoch_csv() == b.trace.epoch_csv()
+        for enc_a, enc_b in zip([*a.task_models, a.encoder], [*b.task_models, b.encoder]):
+            assert enc_a.params.tobytes() == enc_b.params.tobytes()
 
     def test_theorem2_mode_runs(self):
         tasks = make_blob_sequence(3, points_per_class=8, seed=0)
