@@ -39,9 +39,9 @@ def main() -> None:
     res = run_sequence(prefix, cfg)
     dists = [t.train for t in prefix]
     support = np.concatenate([d.points for d in dists])
-    models = [enc.snapshot(support) for enc in res.task_models]
+    embeddings = [enc.snapshot(support) for enc in res.task_models]
     lambdas = [r.lam for r in res.trace.records[1:]]
-    upper, lower, realized = population_bound_check(models, dists, lambdas)
+    upper, lower, realized = population_bound_check(embeddings, dists, lambdas)
     print("\nbound sandwich on the trained 3-task prefix:")
     print(f"  lower {lower.value:.4f} <= realized test loss {realized:.4f} "
           f"<= upper {upper.value:.4f}")

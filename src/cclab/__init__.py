@@ -5,14 +5,10 @@ adaptive distillation coefficients, and toy-scale training runs."""
 __version__ = "0.1.0"
 
 from .core import (
-    ConstantModel,
-    EmbeddingModel,
     MixtureWeights,
-    TableModel,
     TaskDistribution,
     mixture,
-    normalize,
-    random_table_model,
+    normalize_rows,
 )
 from .losses import (
     batch_terms,
@@ -21,7 +17,6 @@ from .losses import (
     population_contrastive,
     population_distillation,
     population_test_loss,
-    population_train_loss,
 )
 from .bounds import (
     BoundConstants,

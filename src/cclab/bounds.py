@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MASS_TOL, EmbeddingModel, MixtureWeights, TaskDistribution, normalize_rows
+from .core import MASS_TOL, MixtureWeights, TaskDistribution, normalize_rows
 from .losses import _BLOCK, _population_terms, _stacked_terms
 
 E2 = math.exp(2.0)
@@ -59,22 +59,19 @@ def main_text_beta_prime() -> float:
 
 
 def lemma1_slack(
-    f_t: EmbeddingModel,
-    f_prev: EmbeddingModel,
-    dist: TaskDistribution,
-    k: int = 1,
-    *,
-    alpha_corruption: float = 0.0,
+    emb_t: np.ndarray, emb_prev: np.ndarray, dist: TaskDistribution, k: int = 1,
+    *, alpha_corruption: float = 0.0,
 ) -> tuple[float, float]:
     """Slack of both sides of the consecutive-model loss sandwich.
 
     upper_slack = alpha*L_con(f_prev) + L_dis + beta - L_con(f_t),
     lower_slack = L_con(f_t) - alpha*L_con(f_prev) - L_dis - beta'.
-    Both are non-negative up to float error for unit-norm models. All
-    three losses come from one exact pass. ``alpha_corruption`` shifts
-    alpha; nonzero values exist only to prove the checks can fail.
+    Both are non-negative up to float error for unit rows ``emb_t`` and
+    ``emb_prev`` on the points of ``dist``. All three losses come from one
+    exact pass. ``alpha_corruption`` shifts alpha; nonzero values exist
+    only to prove the checks can fail.
     """
-    l_t, l_prev, l_dis, _ = _population_terms(f_t, dist, k, f_prev)
+    l_t, l_prev, l_dis, _ = _population_terms(emb_t, dist, k, emb_prev)
     return constants(k).slacks(l_t, l_prev, l_dis, alpha_corruption)
 
 
@@ -272,8 +269,8 @@ def theorem2_step(state: ScheduleState, U_t: float) -> ScheduleState:
 
 def _draw(rng: np.random.Generator, B: int, n: int, d: int, e: int = 0, n_classes: int = 2):
     """(B, n) labels and masses, checked as TaskDistribution checks them, and
-    (B, n*(d + 2e)) normals: points then two (n, e) tables per distribution,
-    the stream of random_distribution and two random_table_model calls."""
+    (B, n*(d + 2e)) normals: points then two (n, e) embeddings per
+    distribution, the stream of random_distribution and two (n, e) draws."""
     n_classes = min(n_classes, n)
     labels = np.tile(np.arange(n), (B, 1))  # the first n_classes stay
     mass, normals = np.empty((B, n)), np.empty((B, n * (d + 2 * e)))
@@ -302,17 +299,14 @@ def random_distribution(
 
 def _worst_trials(trials, k, seed, n, d, e, alpha_corruption=0.0):
     """Worst (upper slack, lower slack, |residual|) over random triples on n
-    points, B of at most ``_BLOCK`` table entries at a time, embedded as TableModel does."""
+    points, B of at most ``_BLOCK`` table entries at a time."""
     rng = np.random.default_rng(seed)
     per_block = max(1, _BLOCK // (n * math.comb(n + k - 1, k)))
     worst = [np.inf, np.inf, 0.0]
     for start in range(0, trials, per_block):
         B = min(per_block, trials - start)
         labels, mass, normals = _draw(rng, B, n, d, e)
-        keys = (normals[:, : n * d].reshape(B, n, d) + 0.0).view(np.int64)  # TableModel keys
-        src = n - 1 - (keys[:, :, None] == keys[:, None]).all(3)[:, :, ::-1].argmax(2)
-        unit = normalize_rows(normals[:, n * d :].reshape(-1, e)).reshape(B, 2, n, e)
-        emb = np.take_along_axis(unit, src[:, None, :, None], axis=2)
+        emb = normalize_rows(normals[:, n * d :].reshape(-1, e)).reshape(B, 2, n, e)
         terms = _stacked_terms(emb[:, 0], labels, mass, k, emb[:, 1])
         up, lo, res = *constants(k).slacks(*terms.T[:3], alpha_corruption), abs(terms[:, 3])
         worst = [min(worst[0], up.min()), min(worst[1], lo.min()), max(worst[2], res.max())]

@@ -248,6 +248,9 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:  # np.random.SeedSequence takes no negative seed
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if min(self.hidden, self.embed_dim) < 1 or min(self.buffer_size, self.probe_epochs) < 0:
+            raise ValueError("need hidden, embed_dim >= 1 and buffer_size, probe_epochs >= 0, got "
+                             f"{self.hidden}, {self.embed_dim}, {self.buffer_size}, {self.probe_epochs}")
         # the schedule's own checks, so a bad schedule setting fails here
         LambdaSchedule.from_config(self)
 
@@ -399,7 +402,7 @@ def run_sequence(tasks: list[TaskData], cfg: RunConfig) -> RunResult:
 
 
 def population_bound_check(
-    task_models: list[Encoder],
+    task_embeddings: list[np.ndarray],
     task_dists: list[TaskDistribution],
     lambdas: list[float],
     k: int = 1,
@@ -407,8 +410,11 @@ def population_bound_check(
 ):
     """Exact-population bound sandwich for a trained model sequence.
 
-    Computes each task's population training loss from the per-task model
-    snapshots (contrastive on the task, distillation on the seen-data
+    ``task_embeddings[t - 1]`` is task t's model's unit rows on the tasks'
+    supports concatenated in order, e.g. ``enc.snapshot`` of them: D_t is
+    its own block, and the seen-data mixture of tasks before t the leading
+    rows, as ``core.mixture`` concatenates. Computes each task's population
+    training loss (contrastive on the task, distillation on the seen-data
     mixture), the realized test loss of the final model, and both bounds.
     ``lambdas`` covers tasks 2..T; ``weights`` defaults to uniform.
 
@@ -416,9 +422,9 @@ def population_bound_check(
     """
     from .bounds import theorem1_lower, theorem1_upper
     from .core import mixture
-    from .losses import _stacked_contrastive, population_distillation
+    from .losses import _rows, _stacked_contrastive, _task_rows, population_distillation
 
-    T = len(task_models)
+    T = len(task_embeddings)
     if T != len(task_dists) or T < 2:
         raise ValueError("need matching model/distribution sequences, T >= 2")
     if len(lambdas) != T - 1:
@@ -428,15 +434,16 @@ def population_bound_check(
             MixtureWeights(task_index=t, weights=np.full(t - 1, 1.0 / (t - 1)))
             for t in range(2, T + 1)
         ]
+    embs = [_rows(emb, sum(d.size for d in task_dists)) for emb in task_embeddings]
+    blocks = [_task_rows(emb, task_dists) for emb in embs]
     # one pass over (f_t, D_t) for every t and (f_T, D_t) for t < T
-    con = _stacked_contrastive([*task_models, *task_models[-1:] * (T - 1)],
+    con = _stacked_contrastive([*(b[t] for t, b in enumerate(blocks)), *blocks[-1][:-1]],
                                [*task_dists, *task_dists[:-1]], k)
     train_losses, realized = con[:T], float(sum(con[T:] + con[T - 1 : T]))
     for i, t in enumerate(range(2, T + 1)):
         past = mixture(task_dists[: t - 1], weights[i])
-        l_dis = population_distillation(
-            task_models[t - 1], task_models[t - 2], past, k
-        )
+        seen = past.size  # the leading rows: tasks 1..t-1
+        l_dis = population_distillation(embs[t - 1][:seen], embs[t - 2][:seen], past, k)
         train_losses[t - 1] += lambdas[i] * l_dis
     upper = theorem1_upper(train_losses, weights, lambdas, k=k)
     lower = theorem1_lower(train_losses, weights, lambdas, k=k)

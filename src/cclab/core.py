@@ -1,10 +1,11 @@
-"""Finite-support labeled distributions, unit-sphere embeddings, and the
-outcome space that population losses are defined over: same-class
-(anchor, positive) pairs and multisets of negatives.
+"""Finite-support labeled distributions, the projection of embedding rows
+onto the unit sphere, and the outcome space that population losses are
+defined over: same-class (anchor, positive) pairs and multisets of
+negatives.
 
-Everything here is a plain value object: distributions are frozen after
-construction and all operations are pure functions, so they are safe to
-share across threads.
+An embedding is a plain (n, e) array of unit rows, one per point of a
+support in its order. Distributions are frozen after construction and all
+operations are pure functions, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,25 +25,12 @@ MAX_K = 170  # the most negatives: the largest k whose k! is finite in float64
 MAX_TABLE_ENTRIES = 1 << 26
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Project ``v`` onto the unit sphere.
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Project each row of an (n, d) matrix onto the unit sphere.
 
-    Vectors with norm below 1e-12 map to the first standard basis vector
+    Rows with norm below 1e-12 map to the first standard basis vector
     (documented degenerate-input rule; keeps training robust at init).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("normalize expects a non-empty 1-D vector")
-    n = np.linalg.norm(v)
-    if n < NORM_TOL:
-        e = np.zeros_like(v)
-        e[0] = 1.0
-        return e
-    return v / n
-
-
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`normalize` for an (n, d) matrix."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
     small = norms < NORM_TOL
@@ -274,70 +262,3 @@ def stacked_positive_pairs(labels: np.ndarray, mass: np.ndarray):
     trial, a, b = np.nonzero(same)
     rows, b = trial * n + a, order[trial * n + b]  # the positive's flat index
     return order, trial, rows, b - (rows - a), m[rows] * mass.take(b) / mu[rows]
-
-
-class EmbeddingModel:
-    """A map from input points to unit-sphere vectors.
-
-    Implementations must return unit-norm rows from :meth:`embed` and
-    expose the embedding dimension as ``dim``.
-    """
-
-    dim: int
-
-    def embed(self, points: np.ndarray) -> np.ndarray:
-        """Map (n, d_in) points to (n, dim) unit vectors."""
-        raise NotImplementedError
-
-
-class ConstantModel(EmbeddingModel):
-    """Embeds every point at the same unit vector."""
-
-    def __init__(self, direction: np.ndarray):
-        self.direction = normalize(np.asarray(direction, dtype=np.float64))
-        self.dim = self.direction.size
-
-    def embed(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.tile(self.direction, (points.shape[0], 1))
-
-
-class TableModel(EmbeddingModel):
-    """Embedding model defined by an explicit point -> vector table.
-
-    Lookup is by exact float bytes, which is what table snapshots of
-    trained encoders produce for the supports they were built from. Keys
-    are taken from ``p + 0.0`` so that -0.0 and 0.0 name the same point,
-    and byte-equal points share the vector given last.
-    """
-
-    def __init__(self, points: np.ndarray, vectors: np.ndarray):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        vectors = normalize_rows(np.atleast_2d(vectors))
-        if points.shape[0] != vectors.shape[0]:
-            raise ValueError("one vector per point required")
-        self.dim = vectors.shape[1]
-        self._vectors = vectors
-        self._rows = {key: i for i, key in enumerate(_row_keys(points))}
-
-    def embed(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        try:
-            rows = [self._rows[key] for key in _row_keys(points)]
-        except KeyError:
-            raise KeyError("point not present in embedding table") from None
-        return self._vectors[rows]
-
-
-def _row_keys(points: np.ndarray) -> list[bytes]:
-    """The bytes of each row of ``points + 0.0``, sliced from one buffer."""
-    blob, width = (points + 0.0).tobytes(), 8 * points.shape[1]
-    return [blob[i * width : (i + 1) * width] for i in range(points.shape[0])]
-
-
-def random_table_model(
-    dist: TaskDistribution, dim: int, rng: np.random.Generator
-) -> TableModel:
-    """A TableModel with i.i.d. Gaussian directions on the dist's support."""
-    vecs = rng.standard_normal((dist.size, dim))
-    return TableModel(dist.points, vecs)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_TABLE_ENTRIES, EmbeddingModel, MixtureWeights, TaskDistribution
+from .core import MAX_TABLE_ENTRIES, MixtureWeights, TaskDistribution
+from .losses import _rows
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def scenario_train_losses(spec: ScenarioSpec) -> list[float]:
 
 
 def monte_carlo_contrastive(
-    f: EmbeddingModel,
+    emb: np.ndarray,
     dist: TaskDistribution,
     k: int = 1,
     draws: int = 100_000,
@@ -155,12 +156,13 @@ def monte_carlo_contrastive(
     """Unbiased sample estimate of the population contrastive loss.
 
     Samples the generative process directly (class, i.i.d. positive pair,
-    k marginal negatives) and returns (estimate, standard error).
+    k marginal negatives) on the (n, e) unit rows ``emb``, one per point of
+    ``dist``, and returns (estimate, standard error).
     """
     if draws < 1:
         raise ValueError("need at least one draw")
+    emb = _rows(emb, dist.size)
     rng = np.random.default_rng(seed)
-    emb = f.embed(dist.points)
     sims = emb @ emb.T
     classes = dist.classes
     mu = np.array([dist.class_prob(int(c)) for c in classes])

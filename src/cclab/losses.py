@@ -22,8 +22,10 @@ pass on a 64-point mixture peaks at 2.8 MiB (tracemalloc), against 4.7
 MiB with whole (n, M) tables. A pass takes a stack of same-size trials,
 each bit-identical to a pass on it alone: bounds.lemma1_trials evaluates
 its random trials in stacked blocks, and population_bound_check its
-2T - 1 contrastive (model, distribution) pairs in one pass per support
+2T - 1 contrastive (embedding, distribution) pairs in one pass per support
 size, with population_distillation asking for the CE alone (``dis_only``).
+Every population loss takes a model as its (n, e) unit rows on the
+support, one row per point in order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    EmbeddingModel,
     TaskDistribution,
     stacked_negative_weights,
     stacked_positive_pairs,
@@ -76,28 +77,37 @@ class _PopulationTerms(NamedTuple):
 _BLOCK = 1 << 15
 
 
+def _rows(emb, n: int) -> np.ndarray:
+    """``emb`` as (n, e) float rows, one per point of an n-point support."""
+    emb = np.asarray(emb, dtype=np.float64)
+    if emb.ndim != 2 or emb.shape[0] != n:
+        raise ValueError(f"need one embedding row per support point: {n} rows, got {emb.shape}")
+    return emb
+
+
 def _population_terms(
-    f_t: EmbeddingModel,
+    emb_t: np.ndarray,
     dist: TaskDistribution,
     k: int,
-    f_prev: EmbeddingModel | None = None,
+    emb_prev: np.ndarray | None = None,
     *,
     dis_only: bool = False,
 ) -> _PopulationTerms:
-    """The one-trial case of :func:`_stacked_terms`."""
-    emb = [f if f is None else f.embed(dist.points)[None] for f in (f_t, f_prev)]
+    """The one-trial case of :func:`_stacked_terms`, on the (n, e) unit rows
+    of f_t and optionally f_prev on the points of ``dist``."""
+    emb = [e if e is None else _rows(e, dist.size)[None] for e in (emb_t, emb_prev)]
     terms = _stacked_terms(emb[0], dist.labels[None], dist.mass[None], k, emb[1],
                            dis_only=dis_only)
     return _PopulationTerms(*terms[0].tolist())
 
 
-def _stacked_contrastive(models, dists: list[TaskDistribution], k: int) -> list[float]:
-    """population_contrastive of each (model, dist) pair, in order, with
+def _stacked_contrastive(embs, dists: list[TaskDistribution], k: int) -> list[float]:
+    """population_contrastive of each (rows, dist) pair, in order, with
     the pairs of one support size stacked into one pass."""
     out = {}
     for n in dict.fromkeys(d.size for d in dists):
         idx = [i for i, d in enumerate(dists) if d.size == n]
-        emb = np.stack([models[i].embed(dists[i].points) for i in idx])
+        emb = np.stack([_rows(embs[i], n) for i in idx])
         labels = np.stack([dists[i].labels for i in idx])
         mass = np.stack([dists[i].mass for i in idx])
         out.update(zip(idx, _stacked_terms(emb, labels, mass, k)[:, 0].tolist()))
@@ -197,61 +207,43 @@ def _stacked_terms(
     return out
 
 
-def population_contrastive(f: EmbeddingModel, dist: TaskDistribution, k: int = 1) -> float:
-    """Exact expected contrastive loss of ``f`` on ``dist`` with k negatives."""
-    return _population_terms(f, dist, k).con_t
+def population_contrastive(emb: np.ndarray, dist: TaskDistribution, k: int = 1) -> float:
+    """Exact expected contrastive loss, with k negatives, of the (n, e) unit
+    rows ``emb``, one per point of ``dist``."""
+    return _population_terms(emb, dist, k).con_t
 
 
 def population_distillation(
-    f_t: EmbeddingModel,
-    f_prev: EmbeddingModel,
-    dist: TaskDistribution,
-    k: int = 1,
+    emb_t: np.ndarray, emb_prev: np.ndarray, dist: TaskDistribution, k: int = 1
 ) -> float:
-    """Exact expected cross-entropy from f_prev's similarity softmax to f_t's."""
-    return _population_terms(f_t, dist, k, f_prev, dis_only=True).dis
+    """Exact expected cross-entropy from f_prev's similarity softmax to f_t's,
+    of their unit rows on the points of ``dist``."""
+    return _population_terms(emb_t, dist, k, emb_prev, dis_only=True).dis
 
 
 def decomposition_residual(
-    f_t: EmbeddingModel,
-    f_prev: EmbeddingModel,
-    dist: TaskDistribution,
-    k: int = 1,
+    emb_t: np.ndarray, emb_prev: np.ndarray, dist: TaskDistribution, k: int = 1
 ) -> float:
     """Residual of the identity
     -p(f_prev) . log p(f_t) = l(v(f_t)) + sum_i q_i(f_prev) v_i(f_t),
     in expectation. Zero (within float error) by construction.
     """
-    return _population_terms(f_t, dist, k, f_prev).residual
+    return _population_terms(emb_t, dist, k, emb_prev).residual
 
 
-def population_train_loss(
-    f_t: EmbeddingModel,
-    dist: TaskDistribution,
-    lam: float = 0.0,
-    k: int = 1,
-    f_prev: EmbeddingModel | None = None,
-    past: TaskDistribution | None = None,
-) -> float:
-    """L_con(f_t; D_t) + lam * L_dis(f_t; f_prev, D_past).
-
-    The first task has no distillation term: omit ``f_prev``/``past``.
-    """
-    if lam < 0:
-        raise ValueError("distillation coefficient must be non-negative")
-    total = population_contrastive(f_t, dist, k)
-    if f_prev is not None and past is not None and lam > 0:
-        total += lam * population_distillation(f_t, f_prev, past, k)
-    return total
+def _task_rows(emb: np.ndarray, tasks: list[TaskDistribution]) -> list[np.ndarray]:
+    """Each task's block of ``emb``, a model's rows on the tasks' supports
+    concatenated in order (as ``core.mixture`` concatenates them)."""
+    sizes = [d.size for d in tasks]
+    return np.split(_rows(emb, sum(sizes)), np.cumsum(sizes)[:-1])
 
 
-def population_test_loss(
-    f_final: EmbeddingModel, tasks: list[TaskDistribution], k: int = 1
-) -> float:
-    """Total performance of the final model: sum of per-task contrastive losses."""
+def population_test_loss(emb_final: np.ndarray, tasks: list[TaskDistribution], k: int = 1) -> float:
+    """Total performance of the final model, the sum of per-task contrastive
+    losses, from its rows on the tasks' supports concatenated in order."""
     if not tasks:
         raise ValueError("need at least one task")
-    return float(sum(_stacked_contrastive([f_final] * len(tasks), tasks, k)))
+    return float(sum(_stacked_contrastive(_task_rows(emb_final, tasks), tasks, k)))
 
 
 @dataclass

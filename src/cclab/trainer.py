@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NORM_TOL, TableModel
+from .core import NORM_TOL, normalize_rows
 from .losses import Temperatures, _batch_step
 
 CHECKPOINT_MAGIC = b"CCL1"
@@ -73,6 +73,8 @@ class Encoder:
         dims = tuple(int(d) for d in dims)
         if len(dims) < 2:
             raise ValueError("need at least an input and an output width")
+        if min(dims) < 1:
+            raise ValueError(f"every layer width must be >= 1, got {list(dims)}")
         if activation not in ("tanh", "relu"):
             raise ValueError(f"unknown activation {activation!r}")
         self.dims = dims
@@ -130,9 +132,6 @@ class Encoder:
         """Unit-norm embeddings of (n, d_in) points."""
         return self._forward_stack(points)[0][0]
 
-    # an Encoder is a valid EmbeddingModel for the population losses
-    embed = forward
-
     def _forward_stack(self, points: np.ndarray, frozen: "Encoder | None" = None):
         """(K, n, dim) unit embeddings of (n, d_in) points under this encoder
         and, K = 2, a frozen one of its architecture; and the backward's cache.
@@ -165,9 +164,10 @@ class Encoder:
             norms[small] = np.inf
         return z, (acts, z, norms)
 
-    def snapshot(self, points: np.ndarray) -> TableModel:
-        """Freeze the encoder's embeddings of a support into a table model."""
-        return TableModel(points, self.forward(points))
+    def snapshot(self, points: np.ndarray) -> np.ndarray:
+        """The encoder's unit rows on a support, one per point, as the
+        population losses take them."""
+        return normalize_rows(self.forward(points))
 
     # -- backward ---------------------------------------------------------
 
@@ -306,10 +306,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A file that is not exactly magic, layer count, dims and the f64
-    parameters those dims call for, or whose sidecar disagrees with it,
-    raises ValueError; nothing is allocated from the header before the
-    file length confirms it.
+    A file that is not exactly magic, layer count, dims of width >= 1 and
+    the finite f64 parameters those dims call for, or whose sidecar
+    disagrees with it, raises ValueError; nothing is allocated from the
+    header before the file length confirms it.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -334,4 +334,6 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
     ) != (CHECKPOINT_VERSION, list(dims)):
         raise ValueError("checkpoint sidecar disagrees with the binary's version or dims")
     params = np.frombuffer(blob, dtype="<f8", offset=offset)
+    if not np.isfinite(params).all():  # training aborts before a non-finite step
+        raise ValueError("checkpoint holds non-finite parameters")
     return Encoder._from_params(dims, manifest.get("activation", "tanh"), params), manifest

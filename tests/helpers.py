@@ -29,13 +29,11 @@ from cclab.continual import (
 from cclab.core import (
     NORM_TOL,
     MixtureWeights,
-    TableModel,
     TaskDistribution,
     mixture,
     negative_weights,
     normalize_rows,
     positive_pairs,
-    random_table_model,
     stacked_negative_weights,
     stacked_positive_pairs,
 )
@@ -44,14 +42,19 @@ from cclab.losses import _population_terms
 from cclab.trainer import Encoder
 
 
+def random_embedding(dist, dim, rng):
+    """Unit rows in i.i.d. Gaussian directions, one per point of ``dist``."""
+    return normalize_rows(rng.standard_normal((dist.size, dim)))
+
+
 def two_point_antipodal():
-    """Two singleton classes embedded at antipodes of the sphere."""
+    """Two singleton classes embedded at antipodes of the sphere: the
+    distribution and its (2, 2) embedding rows."""
     points = np.array([[1.0, 0.0], [0.0, 1.0]])
     dist = TaskDistribution(
         points=points, labels=np.array([0, 1]), mass=np.array([0.5, 0.5])
     )
-    model = TableModel(points, np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    return dist, model
+    return dist, np.array([[1.0, 0.0], [-1.0, 0.0]])
 
 
 def _class_tables(dist):
@@ -164,15 +167,15 @@ def class_balanced_reference(labels, batch_size, n_batches, rng):
     return batches
 
 
-def population_terms_reference(f_t, dist, k, f_prev=None):
-    """(con_t, con_prev, dis, residual) from one pass over the whole
-    (pair, multiset) grid at once, as losses._population_terms computed
-    them before it walked the grid in blocks."""
+def population_terms_reference(emb_t, dist, k, emb_prev=None):
+    """(con_t, con_prev, dis, residual) of the (n, e) rows of f_t and f_prev
+    from one pass over the whole (pair, multiset) grid at once, as
+    losses._population_terms computed them before it walked the grid in
+    blocks."""
     counts, neg_w = negative_weights(dist, k)
     anchors, positives, pair_w = positive_pairs(dist)
 
-    def tables(f):
-        emb = f.embed(dist.points)
+    def tables(emb):
         sims = emb @ emb.T
         shift = sims.max(axis=1, keepdims=True)
         ex = np.exp(sims - shift)
@@ -187,12 +190,12 @@ def population_terms_reference(f_t, dist, k, f_prev=None):
     def expect(values):
         return float(pair_w @ values @ neg_w)
 
-    t = tables(f_t)
+    t = tables(emb_t)
     s_ab, _, _, lse = on_grid(*t)
     con_t = expect(lse - s_ab)
-    if f_prev is None:
+    if emb_prev is None:
         return con_t, np.nan, np.nan, np.nan
-    p = tables(f_prev)
+    p = tables(emb_prev)
     s_prev, e_ab, sums_prev, lse_prev = on_grid(*p)
     con_prev = expect(lse_prev - s_prev)
     cross_sums = ((p[2] * t[0]) @ counts.T)[anchors]
@@ -318,7 +321,7 @@ def trial_terms_reference(trials, k, seed, support_size=4, dimension=3, embed_di
     """The random triples of bounds.lemma1_trials and
     decomposition_check_trials, one at a time as those functions drew and
     evaluated them before they worked in stacked blocks: a
-    random_distribution, two random_table_model calls and one
+    random_distribution, two random_embedding draws and one
     _population_terms pass per trial. Returns the (trials, 4) terms and
     the (lemma1_trials, decomposition_check_trials) results, reduced one
     trial at a time, with the slacks written out as lemma1_slack had them."""
@@ -330,9 +333,9 @@ def trial_terms_reference(trials, k, seed, support_size=4, dimension=3, embed_di
     worst_res = 0.0
     for _ in range(trials):
         dist = random_distribution(rng, support_size, dimension)
-        f_t = random_table_model(dist, embed_dim, rng)
-        f_prev = random_table_model(dist, embed_dim, rng)
-        terms.append(_population_terms(f_t, dist, k, f_prev))
+        emb_t = random_embedding(dist, embed_dim, rng)
+        emb_prev = random_embedding(dist, embed_dim, rng)
+        terms.append(_population_terms(emb_t, dist, k, emb_prev))
         l_t, l_prev, l_dis, residual = terms[-1]
         worst_up = min(worst_up, alpha * l_prev + l_dis + c.beta - l_t)
         worst_lo = min(worst_lo, l_t - alpha * l_prev - l_dis - c.beta_prime)
@@ -341,8 +344,11 @@ def trial_terms_reference(trials, k, seed, support_size=4, dimension=3, embed_di
 
 
 class DictTableModel:
-    """core.TableModel as a dict from each point's bytes to its vector, as
-    it looked points up one row at a time with np.stack."""
+    """A model given as a table from each point's bytes (-0.0 read as 0.0)
+    to its normalized vector, byte-equal points sharing the vector given
+    last, looked up one row at a time: it embeds a support for the loop
+    oracles and population_bound_check_reference independently of the
+    row order the library relies on."""
 
     def __init__(self, points, vectors):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -433,24 +439,30 @@ theorem1_reference = {"upper": _theorem1_upper_reference, "lower": _theorem1_low
 
 
 def population_bound_check_reference(task_models, task_dists, lambdas, k=1, weights=None):
-    """continual.population_bound_check as one full _population_terms pass
-    per loss: each task's contrastive loss, each distillation loss and each
-    term of the realized test loss on its own, with theorem1_reference."""
+    """continual.population_bound_check on table models, such as
+    DictTableModel, as one full _population_terms pass per loss: each
+    task's contrastive loss, each distillation loss and each term of the
+    realized test loss on its own, each model embedding the pass's support
+    points by lookup, with theorem1_reference."""
     T = len(task_models)
     if weights is None:
         weights = [
             MixtureWeights(task_index=t, weights=np.full(t - 1, 1.0 / (t - 1)))
             for t in range(2, T + 1)
         ]
-    train_losses = [_population_terms(task_models[0], task_dists[0], k).con_t]
+
+    def con(model, dist):
+        return _population_terms(model.embed(dist.points), dist, k).con_t
+
+    train_losses = [con(task_models[0], task_dists[0])]
     for i, t in enumerate(range(2, T + 1)):
         past = mixture(task_dists[: t - 1], weights[i])
-        l_con = _population_terms(task_models[t - 1], task_dists[t - 1], k).con_t
-        l_dis = _population_terms(task_models[t - 1], past, k, task_models[t - 2]).dis
-        train_losses.append(l_con + lambdas[i] * l_dis)
+        l_dis = _population_terms(task_models[t - 1].embed(past.points), past, k,
+                                  task_models[t - 2].embed(past.points)).dis
+        train_losses.append(con(task_models[t - 1], task_dists[t - 1]) + lambdas[i] * l_dis)
     upper = theorem1_reference["upper"](train_losses, weights, lambdas, k=k)
     lower = theorem1_reference["lower"](train_losses, weights, lambdas, k=k)
-    realized = float(sum(_population_terms(task_models[-1], d, k).con_t for d in task_dists))
+    realized = float(sum(con(task_models[-1], d) for d in task_dists))
     upper.realized_test_loss = realized
     lower.realized_test_loss = realized
     return upper, lower, realized

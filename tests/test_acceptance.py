@@ -28,7 +28,7 @@ from cclab.continual import (
     probe_run,
     run_sequence,
 )
-from cclab.core import ConstantModel, MixtureWeights, TaskDistribution
+from cclab.core import MixtureWeights, TaskDistribution
 from cclab.data import (
     ScenarioSpec,
     make_blob_sequence,
@@ -91,10 +91,10 @@ def test_criterion_04_trained_sequence_sandwich():
     res = run_sequence(tasks, cfg)
     dists = [t.train for t in tasks]
     support = np.concatenate([d.points for d in dists])
-    models = [enc.snapshot(support) for enc in res.task_models]
+    embeddings = [enc.snapshot(support) for enc in res.task_models]
     lambdas = [r.lam for r in res.trace.records[1:]]
     assert lambdas == [1.0, 1.0]
-    upper, lower, realized = population_bound_check(models, dists, lambdas, k=1)
+    upper, lower, realized = population_bound_check(embeddings, dists, lambdas, k=1)
     assert lower.value - 1e-9 <= realized <= upper.value + 1e-9
     assert time.perf_counter() - start < 120.0
 
@@ -244,8 +244,10 @@ def test_criterion_10_probe_protocol_structure():
 
     assert linear_probe(embed, pts, labels, [dist], 2).average_accuracy == 1.0
     # ... and one on uninformative embeddings is chance level
-    const = ConstantModel(np.array([1.0, 0.0]))
-    chance = linear_probe(const.embed, pts, labels, [dist], 2).average_accuracy
+    def constant(x):
+        return np.tile([1.0, 0.0], (len(x), 1))
+
+    chance = linear_probe(constant, pts, labels, [dist], 2).average_accuracy
     assert chance == pytest.approx(0.5, abs=1e-12)
 
 

@@ -27,11 +27,12 @@ from cclab.bounds import (
     theorem2_step,
     turning_point,
 )
-from cclab.core import MixtureWeights, TableModel, random_table_model
+from cclab.core import MixtureWeights
 from cclab.losses import _stacked_terms, population_contrastive
 from tests.helpers import (
     gamma_reference,
     random_distribution_reference,
+    random_embedding,
     theorem1_reference,
     trial_terms_reference,
 )
@@ -165,8 +166,8 @@ class TestLemma1:
         rng = np.random.default_rng(0)
         for _ in range(20):
             dist = random_distribution(rng, 4, 3)
-            f_t = random_table_model(dist, 4, rng)
-            f_p = random_table_model(dist, 4, rng)
+            f_t = random_embedding(dist, 4, rng)
+            f_p = random_embedding(dist, 4, rng)
             up, lo = lemma1_slack(f_t, f_p, dist, k)
             assert up >= -1e-10
             assert lo >= -1e-10
@@ -176,8 +177,8 @@ class TestLemma1:
         rng = np.random.default_rng(10)
         for _ in range(3):
             dist = random_distribution(rng, 6, 3)
-            f_t = random_table_model(dist, 4, rng)
-            f_p = random_table_model(dist, 4, rng)
+            f_t = random_embedding(dist, 4, rng)
+            f_p = random_embedding(dist, 4, rng)
             up, lo = lemma1_slack(f_t, f_p, dist, 10)
             assert up >= -1e-10
             assert lo >= -1e-10
@@ -263,27 +264,6 @@ class TestStackedTrials:
             lemma1_trials(2**62, 1, support_size=4)
         assert info.value.args == (losses._BLOCK // (4 * 4),)  # n * C(n, 1) entries a trial
 
-    def test_repeated_point_takes_later_vector(self, monkeypatch):
-        # rows 0 and 2 are the same point up to the sign of zero, and row 3
-        # of f_t's table is degenerate: the stacked embeddings must be what
-        # TableModel's byte-key lookup and normalize_rows give
-        points = np.array([[0.5, -0.0], [1.0, 2.0], [0.5, 0.0], [-3.0, 1.0]])
-        rng = np.random.default_rng(4)
-        vecs = rng.standard_normal((2, 4, 3))
-        vecs[0, 3] = 0.0
-        normals = np.concatenate([points.ravel(), vecs.ravel()])[None]
-        labels, mass = np.array([[0, 1, 0, 1]]), np.full((1, 4), 0.25)
-        monkeypatch.setattr(bounds, "_draw", lambda *args: (labels, mass, normals))
-        seen = []
-        monkeypatch.setattr(bounds, "_stacked_terms",
-                            lambda *args: seen.append(args) or np.zeros((1, 4)))
-        lemma1_trials(1, 1, support_size=4, dimension=2, embed_dim=3)
-        emb_t, _, _, _, emb_prev = seen[0]
-        for got, v in zip((emb_t, emb_prev), vecs):
-            want = TableModel(points, v).embed(points)
-            assert same_bytes(got[0], want)
-        assert same_bytes(emb_t[0, 0], emb_t[0, 2])
-
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 16])
     def test_random_distribution_draws_as_dirichlet(self, n):
         # the masses come from unit exponentials over their running sum,
@@ -307,8 +287,8 @@ class TestMinContrastive:
         rng = np.random.default_rng(1)
         for k in (1, 3):
             dist = random_distribution(rng, 4, 3)
-            f = random_table_model(dist, 4, rng)
-            assert population_contrastive(f, dist, k) >= analytic_min_contrastive(k)
+            emb = random_embedding(dist, 4, rng)
+            assert population_contrastive(emb, dist, k) >= analytic_min_contrastive(k)
 
 
 def uniform_weights(T):

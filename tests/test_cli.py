@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output files, reproducibility."""
 
 import json
+import struct
 from dataclasses import fields
 
 import pytest
@@ -21,7 +22,7 @@ from cclab.cli import (
     main,
 )
 from cclab.continual import RunConfig
-from cclab.trainer import Encoder, SgdConfig, Temperatures, save_checkpoint
+from cclab.trainer import Encoder, SgdConfig, Temperatures, _param_count, save_checkpoint
 
 
 def write_config(tmp_path, name, doc):
@@ -37,6 +38,7 @@ SMALL_TRAIN = {
     "epochs": 3,
     "probe_epochs": 5,
 }
+TINY_TRAIN = {"tasks": 2, "points_per_class": 6, "epochs": 2, "probe_epochs": 2}
 
 
 class TestVerify:
@@ -72,7 +74,8 @@ COMMAND_DEFAULTS = {
 BELOW_RANGE = {
     "verify": {"trials": 0, "support_size": 0, "dimension": 0, "embed_dim": 0,
                "grad_seeds": -1, "seed": -1},
-    "train": {"tasks": 0, "classes_per_task": 0, "points_per_class": 1, "d_in": 1, "seed": -1},
+    "train": {"tasks": 0, "classes_per_task": 0, "points_per_class": 1, "d_in": 1, "seed": -1,
+              "hidden": 0, "embed_dim": 0, "buffer_size": -1, "probe_epochs": -1},
     "bounds": {"T": 1, "k": 0},
 }
 BELOW_RANGE["probe"] = BELOW_RANGE["sweep"] = BELOW_RANGE["train"]
@@ -227,6 +230,16 @@ class TestConfigHandling:
         ("train", {"embed_dim": 2**62}),
         ("train", {"tasks": 2**62}),  # the blob data
         ("bounds", {"T": 100000, "k": 8, "base_loss": 4.0}),  # T(T - 1)/2 mixture weights
+        ("train", dict(TINY_TRAIN, hidden=0)),  # encoder widths and counts below their least
+        ("train", dict(TINY_TRAIN, hidden=-3)),
+        ("train", dict(TINY_TRAIN, embed_dim=-1)),
+        ("train", dict(TINY_TRAIN, embed_dim=0)),
+        ("train", dict(TINY_TRAIN, buffer_size=-1)),
+        ("train", dict(TINY_TRAIN, probe_epochs=-1)),
+        ("probe", dict(TINY_TRAIN, hidden=0)),
+        ("probe", dict(TINY_TRAIN, embed_dim=0)),
+        ("sweep", dict(TINY_TRAIN, buffer_size=-1)),
+        ("sweep", dict(TINY_TRAIN, probe_epochs=-1)),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -343,7 +356,8 @@ class TestProbe:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "trailing-bytes", "bad-magic", "non-json-sidecar",
+        "truncated", "trailing-bytes", "bad-magic", "non-json-sidecar", "zero-width",
+        "nan-params",
     ])
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "model.ckpt"
@@ -355,6 +369,13 @@ class TestProbe:
             ckpt.write_bytes(blob + b"\x00" * 3)
         elif damage == "bad-magic":
             ckpt.write_bytes(b"XXXX" + blob[4:])
+        elif damage == "zero-width":  # dims (2, 0, 8), with a sidecar to match
+            dims = (2, 0, 8)
+            ckpt.write_bytes(blob[:8] + struct.pack("<3I", *dims) + bytes(8 * _param_count(dims)))
+            sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+            (tmp_path / "model.ckpt.json").write_text(json.dumps(dict(sidecar, dims=list(dims))))
+        elif damage == "nan-params":  # every parameter's bits set: a NaN
+            ckpt.write_bytes(blob[:20] + b"\xff" * (len(blob) - 20))
         else:
             (tmp_path / "model.ckpt.json").write_text("{not json")
         cfg = write_config(tmp_path, "p.json", dict(SMALL_TRAIN, checkpoint=str(ckpt)))

@@ -19,11 +19,12 @@ from cclab.continual import (
     run_sequence,
 )
 from cclab import continual, losses
-from cclab.core import ConstantModel, MixtureWeights, TableModel, TaskDistribution
+from cclab.core import MixtureWeights, TaskDistribution, normalize_rows
 from cclab.data import make_blob_sequence
 from cclab.losses import population_test_loss
 from cclab.trainer import SgdConfig
 from tests.helpers import (
+    DictTableModel,
     augment_reference,
     class_balanced_reference,
     linear_probe_reference,
@@ -129,6 +130,16 @@ class TestLambdaSchedule:
             RunConfig(mode="theorem2", lam0=0.0)
         for mode in ("fixed", "pure", "min", "max"):
             RunConfig(mode=mode, lam0=0.0)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 0), ("embed_dim", 0), ("buffer_size", -1), ("probe_epochs", -1),
+    ])
+    def test_size_below_least_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: value})
+        RunConfig(**{field: value + 1})  # the least accepted value
 
 
 class TestAugment:
@@ -311,29 +322,26 @@ class TestPopulationBoundCheck:
         tasks = make_blob_sequence(3, points_per_class=6, seed=0)
         res = run_sequence(tasks, tiny_config(mode="fixed", epochs=6))
         dists = [t.train for t in tasks]
-        models = [
+        embeddings = [
             enc.snapshot(np.concatenate([d.points for d in dists]))
             for enc in res.task_models
         ]
         lambdas = [r.lam for r in res.trace.records[1:]]
-        upper, lower, realized = population_bound_check(models, dists, lambdas)
+        upper, lower, realized = population_bound_check(embeddings, dists, lambdas)
         assert lower.value - 1e-9 <= realized <= upper.value + 1e-9
         assert upper.realized_test_loss == realized
 
     @pytest.fixture(scope="class")
     def trained(self):
-        """A 4-task max-mode run: table snapshots on the joint support."""
+        """A 4-task max-mode run: its task models, distributions and coefficients."""
         tasks = make_blob_sequence(4, points_per_class=7, seed=2)
         res = run_sequence(tasks, tiny_config(mode="max", epochs=5, seed=2))
-        dists = [t.train for t in tasks]
-        support = np.concatenate([d.points for d in dists])
-        models = [enc.snapshot(support) for enc in res.task_models]
-        return models, dists, [r.lam for r in res.trace.records[1:]]
+        return res.task_models, [t.train for t in tasks], [r.lam for r in res.trace.records[1:]]
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("shape", ["uniform", "weighted", "unequal sizes"])
     def test_matches_per_pass_reference(self, trained, k, shape):
-        models, dists, lambdas = trained
+        encoders, dists, lambdas = trained
         weights = None
         if shape == "weighted":
             rng = np.random.default_rng(k)
@@ -345,11 +353,15 @@ class TestPopulationBoundCheck:
                 for i, d in enumerate(dists)
             ]
             assert len({d.size for d in dists}) == 3
-        got = population_bound_check(models, dists, lambdas, k, weights)
-        want = population_bound_check_reference(models, dists, lambdas, k, weights)
+        # snapshots on the joint support against table models of the same rows
+        support = np.concatenate([d.points for d in dists])
+        embeddings = [enc.snapshot(support) for enc in encoders]
+        tables = [DictTableModel(support, enc.forward(support)) for enc in encoders]
+        got = population_bound_check(embeddings, dists, lambdas, k, weights)
+        want = population_bound_check_reference(tables, dists, lambdas, k, weights)
         assert [r.to_json() for r in got[:2]] == [r.to_json() for r in want[:2]]
         assert got[2].hex() == want[2].hex()
-        assert population_test_loss(models[-1], dists, k).hex() == want[2].hex()
+        assert population_test_loss(embeddings[-1], dists, k).hex() == want[2].hex()
 
     def test_one_contrastive_pass_per_check(self, monkeypatch):
         # T = 5 equal-size tasks: one stacked pass for the 2T - 1 distinct
@@ -358,7 +370,7 @@ class TestPopulationBoundCheck:
         dists = [t.train for t in tasks]
         support = np.concatenate([d.points for d in dists])
         rng = np.random.default_rng(4)
-        models = [TableModel(support, rng.standard_normal((len(support), 3))) for _ in tasks]
+        embeddings = [normalize_rows(rng.standard_normal((len(support), 3))) for _ in tasks]
         calls = []
 
         def counted(*args, **kwargs):
@@ -367,13 +379,25 @@ class TestPopulationBoundCheck:
 
         stacked_terms = losses._stacked_terms
         monkeypatch.setattr(losses, "_stacked_terms", counted)
-        population_bound_check(models, dists, [1.0] * 4)
+        population_bound_check(embeddings, dists, [1.0] * 4)
         assert calls == [9, 1, 1, 1, 1]
 
     def test_input_validation(self):
         d = make_blob_sequence(1, points_per_class=6)[0].train
         with pytest.raises(ValueError):
             population_bound_check([None], [d], [])
+
+    def test_needs_a_row_per_point_of_the_joint_support(self):
+        dists = [t.train for t in make_blob_sequence(3, points_per_class=3, seed=1)]
+        n = sum(d.size for d in dists)
+        rng = np.random.default_rng(0)
+        good = [normalize_rows(rng.standard_normal((n, 3))) for _ in dists]
+        population_bound_check(good, dists, [1.0, 1.0])
+        for bad in (good[0][:-1], good[0][: dists[0].size], np.vstack([good[0], good[0][:1]])):
+            for t in range(3):
+                embeddings = good[:t] + [bad] + good[t + 1 :]
+                with pytest.raises(ValueError, match="one embedding row per support point"):
+                    population_bound_check(embeddings, dists, [1.0, 1.0])
 
 
 class TestClassBalancedBatches:
@@ -469,9 +493,10 @@ class TestLinearProbe:
         dist = TaskDistribution(
             points=pts, labels=labels, mass=np.full(40, 1 / 40)
         )
-        model = ConstantModel(np.array([1.0, 0.0]))
-        probe = linear_probe(model.embed, pts, labels, [dist], n_classes=2,
-                             epochs=20)
+        def embed(x):
+            return np.tile([1.0, 0.0], (len(x), 1))
+
+        probe = linear_probe(embed, pts, labels, [dist], n_classes=2, epochs=20)
         assert probe.average_accuracy == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_per_batch_reference(self):

@@ -15,21 +15,16 @@ from hypothesis import strategies as st
 from cclab import core
 from cclab.core import (
     MAX_K,
-    ConstantModel,
     MixtureWeights,
-    TableModel,
     TaskDistribution,
     mixture,
     negative_multisets,
     negative_weights,
-    normalize,
     normalize_rows,
     positive_pairs,
-    random_table_model,
     stacked_negative_weights,
 )
 from tests.helpers import (
-    DictTableModel,
     negative_multisets_reference,
     positive_pairs_reference,
 )
@@ -54,15 +49,11 @@ def four_point_dist():
 
 class TestNormalize:
     def test_unit_norm(self):
-        v = normalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(v, [0.6, 0.8])
+        v = normalize_rows(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(v, [[0.6, 0.8]])
 
     def test_zero_vector_maps_to_first_basis_vector(self):
-        np.testing.assert_array_equal(normalize(np.zeros(3)), [1.0, 0.0, 0.0])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            normalize(np.ones((2, 2)))
+        np.testing.assert_array_equal(normalize_rows(np.zeros((1, 3))), [[1.0, 0.0, 0.0]])
 
     def test_rows(self):
         m = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
@@ -74,9 +65,9 @@ class TestNormalize:
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, vals):
-        v = normalize(np.array(vals))
+        v = normalize_rows(np.array([vals]))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        np.testing.assert_allclose(normalize(v), v, atol=1e-12)
+        np.testing.assert_allclose(normalize_rows(v), v, atol=1e-12)
 
 
 class TestTaskDistribution:
@@ -296,69 +287,3 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError, match="count entries"):
             negative_multisets(4, 2)
 
-
-class TestModels:
-    def test_constant_model(self):
-        m = ConstantModel(np.array([2.0, 0.0]))
-        out = m.embed(np.zeros((3, 5)))
-        np.testing.assert_array_equal(out, [[1, 0], [1, 0], [1, 0]])
-
-    def test_table_model_lookup(self):
-        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-        vecs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        m = TableModel(pts, vecs)
-        out = m.embed(pts[::-1])
-        np.testing.assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_table_model_signed_zero_is_one_key(self):
-        m = TableModel(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(m.embed(np.array([[-0.0, 1.0]])), [[1.0, 0.0]])
-        m = TableModel(np.array([[-0.0, 1.0]]), np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(m.embed(np.array([[0.0, 1.0]])), [[1.0, 0.0]])
-
-    def test_table_model_unknown_point(self):
-        m = TableModel(np.zeros((1, 2)), np.ones((1, 2)))
-        with pytest.raises(KeyError):
-            m.embed(np.ones((1, 2)))
-
-    @staticmethod
-    def assert_same_lookup(points, vectors, query):
-        got = TableModel(points, vectors).embed(query)
-        want = DictTableModel(points, vectors).embed(query)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-
-    def test_table_model_later_duplicate_wins(self):
-        pts = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-        vecs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        np.testing.assert_array_equal(TableModel(pts, vecs).embed(pts[:1]), [[0.6, 0.8]])
-        self.assert_same_lookup(pts, vecs, pts)
-        self.assert_same_lookup(pts, vecs, pts[[2, 1, 0, 0]])
-
-    def test_table_model_signed_zero_matches_dict_form(self):
-        pts = np.array([[-0.0, 1.0], [0.0, -0.0]])
-        vecs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        self.assert_same_lookup(pts, vecs, np.array([[0.0, 1.0], [-0.0, 0.0], [-0.0, -0.0]]))
-
-    def test_table_model_missing_point_message(self):
-        pts = np.arange(6.0).reshape(3, 2)
-        for model in (TableModel(pts, pts + 1.0), DictTableModel(pts, pts + 1.0)):
-            with pytest.raises(KeyError, match="point not present in embedding table"):
-                model.embed(np.vstack([pts, [[9.0, 9.0]]]))
-
-    def test_table_model_one_dimensional_and_strided_queries(self):
-        rng = np.random.default_rng(2)
-        pts, vecs = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
-        self.assert_same_lookup(pts, vecs, pts[4])  # one point as a 1-D array
-        self.assert_same_lookup(pts, vecs, pts[::-2])  # a strided view
-        self.assert_same_lookup(pts, vecs, np.asfortranarray(pts))
-        strided = np.repeat(pts, 2, axis=1)[:, ::2]  # the same points, every other column
-        assert not strided.flags.c_contiguous
-        self.assert_same_lookup(pts, vecs, strided[1:4])
-        self.assert_same_lookup(np.asfortranarray(pts)[::-1], vecs, pts)
-
-    def test_random_table_model_unit_rows(self):
-        rng = np.random.default_rng(0)
-        m = random_table_model(four_point_dist(), 4, rng)
-        z = m.embed(four_point_dist().points)
-        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)

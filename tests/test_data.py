@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cclab.bounds import random_distribution, turning_point
-from cclab.core import random_table_model
 from cclab.data import (
     ScenarioSpec,
     example_weights,
@@ -15,6 +14,7 @@ from cclab.data import (
     scenario_weights,
 )
 from cclab.losses import population_contrastive
+from tests.helpers import random_embedding
 
 
 class TestBlobSequence:
@@ -91,21 +91,28 @@ class TestMonteCarlo:
     def test_estimate_within_five_standard_errors(self, seed):
         rng = np.random.default_rng(100 + seed)
         dist = random_distribution(rng, 5, 3)
-        f = random_table_model(dist, 4, rng)
-        exact = population_contrastive(f, dist, k=1)
-        est, se = monte_carlo_contrastive(f, dist, k=1, draws=40_000, seed=seed)
+        emb = random_embedding(dist, 4, rng)
+        exact = population_contrastive(emb, dist, k=1)
+        est, se = monte_carlo_contrastive(emb, dist, k=1, draws=40_000, seed=seed)
         assert abs(est - exact) < 5 * max(se, 1e-12)
 
     def test_two_negatives(self):
         rng = np.random.default_rng(200)
         dist = random_distribution(rng, 4, 3)
-        f = random_table_model(dist, 4, rng)
-        exact = population_contrastive(f, dist, k=2)
-        est, se = monte_carlo_contrastive(f, dist, k=2, draws=40_000, seed=0)
+        emb = random_embedding(dist, 4, rng)
+        exact = population_contrastive(emb, dist, k=2)
+        est, se = monte_carlo_contrastive(emb, dist, k=2, draws=40_000, seed=0)
         assert abs(est - exact) < 5 * max(se, 1e-12)
 
     def test_zero_draws_rejected(self):
         dist = random_distribution(np.random.default_rng(0), 4, 3)
-        f = random_table_model(dist, 4, np.random.default_rng(1))
+        emb = random_embedding(dist, 4, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            monte_carlo_contrastive(f, dist, draws=0)
+            monte_carlo_contrastive(emb, dist, draws=0)
+
+    def test_needs_a_row_per_point(self):
+        dist = random_distribution(np.random.default_rng(0), 4, 3)
+        emb = random_embedding(dist, 4, np.random.default_rng(1))
+        for bad in (emb[:3], np.vstack([emb, emb[:1]]), emb[0]):
+            with pytest.raises(ValueError, match="one embedding row per support point"):
+                monte_carlo_contrastive(bad, dist, draws=10)

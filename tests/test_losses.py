@@ -10,14 +10,12 @@ import pytest
 from cclab import core, losses
 from cclab.bounds import random_distribution
 from cclab.core import (
-    ConstantModel,
     MixtureWeights,
-    TableModel,
     TaskDistribution,
     mixture,
     negative_weights,
+    normalize_rows,
     positive_pairs,
-    random_table_model,
 )
 from cclab.data import make_blob_sequence
 from cclab.losses import (
@@ -31,9 +29,9 @@ from cclab.losses import (
     population_contrastive,
     population_distillation,
     population_test_loss,
-    population_train_loss,
 )
 from tests.helpers import (
+    DictTableModel,
     batch_terms_reference,
     masked_softmax_reference,
     stacked_softmax_reference,
@@ -42,9 +40,20 @@ from tests.helpers import (
     oracle_population_distillation,
     oracle_supcon,
     population_terms_reference,
+    random_embedding,
     stacked_terms_reference,
     two_point_antipodal,
 )
+
+
+def table(dist, emb):
+    """The loop oracles' table model of ``dist``'s points and rows ``emb``."""
+    return DictTableModel(dist.points, emb)
+
+
+def constant(dist, direction):
+    """Every point of ``dist`` embedded at the same unit vector."""
+    return np.tile(direction, (dist.size, 1))
 
 
 class TestLogisticLink:
@@ -67,20 +76,20 @@ class TestPopulationContrastive:
     def test_constant_model_single_negative(self):
         # all margins are zero, so the loss is log 2 regardless of data
         dist = random_distribution(np.random.default_rng(0), 5, 3)
-        m = ConstantModel(np.array([1.0, 0.0]))
-        assert population_contrastive(m, dist, k=1) == pytest.approx(math.log(2))
+        emb = constant(dist, [1.0, 0.0])
+        assert population_contrastive(emb, dist, k=1) == pytest.approx(math.log(2))
 
     def test_constant_model_three_negatives(self):
         dist = random_distribution(np.random.default_rng(0), 5, 3)
-        m = ConstantModel(np.array([1.0, 0.0]))
-        assert population_contrastive(m, dist, k=3) == pytest.approx(math.log(4))
+        emb = constant(dist, [1.0, 0.0])
+        assert population_contrastive(emb, dist, k=3) == pytest.approx(math.log(4))
 
     def test_antipodal_two_point_value(self):
         # half the outcomes see margin 0 (negative equals anchor), half see
         # margin 2 (negative is the antipode): 0.5*log2 + 0.5*log(1+e^-2)
-        dist, model = two_point_antipodal()
+        dist, emb = two_point_antipodal()
         expect = 0.5 * math.log(2.0) + 0.5 * math.log1p(math.exp(-2.0))
-        got = population_contrastive(model, dist, k=1)
+        got = population_contrastive(emb, dist, k=1)
         assert got == pytest.approx(expect, abs=1e-12)
         assert got == pytest.approx(0.4100375958014589, abs=1e-12)
 
@@ -89,9 +98,9 @@ class TestPopulationContrastive:
         rng = np.random.default_rng(42)
         for _ in range(5):
             dist = random_distribution(rng, 4, 3)
-            f = random_table_model(dist, 4, rng)
-            assert population_contrastive(f, dist, k) == pytest.approx(
-                oracle_population_contrastive(f, dist, k), abs=1e-12
+            emb = random_embedding(dist, 4, rng)
+            assert population_contrastive(emb, dist, k) == pytest.approx(
+                oracle_population_contrastive(table(dist, emb), dist, k), abs=1e-12
             )
 
     def test_margin_range_bounds_loss(self):
@@ -100,8 +109,8 @@ class TestPopulationContrastive:
         rng = np.random.default_rng(7)
         for k in (1, 2):
             dist = random_distribution(rng, 5, 3)
-            f = random_table_model(dist, 3, rng)
-            val = population_contrastive(f, dist, k)
+            emb = random_embedding(dist, 3, rng)
+            val = population_contrastive(emb, dist, k)
             assert math.log1p(k * math.exp(-2)) <= val <= math.log1p(k * math.exp(2))
 
 
@@ -110,27 +119,28 @@ class TestPopulationDistillation:
         # CE of a distribution against itself equals its entropy, which for
         # the constant model's uniform softmax over k+1 entries is log(k+1)
         dist = random_distribution(np.random.default_rng(1), 4, 3)
-        m = ConstantModel(np.array([0.0, 1.0]))
-        assert population_distillation(m, m, dist, k=1) == pytest.approx(math.log(2))
-        assert population_distillation(m, m, dist, k=3) == pytest.approx(math.log(4))
+        emb = constant(dist, [0.0, 1.0])
+        assert population_distillation(emb, emb, dist, k=1) == pytest.approx(math.log(2))
+        assert population_distillation(emb, emb, dist, k=3) == pytest.approx(math.log(4))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_oracle(self, k):
         rng = np.random.default_rng(3)
         for _ in range(5):
             dist = random_distribution(rng, 4, 3)
-            f_t = random_table_model(dist, 4, rng)
-            f_p = random_table_model(dist, 4, rng)
+            f_t = random_embedding(dist, 4, rng)
+            f_p = random_embedding(dist, 4, rng)
             assert population_distillation(f_t, f_p, dist, k) == pytest.approx(
-                oracle_population_distillation(f_t, f_p, dist, k), abs=1e-12
+                oracle_population_distillation(table(dist, f_t), table(dist, f_p), dist, k),
+                abs=1e-12,
             )
 
     def test_gibbs_inequality(self):
         # CE(q -> p) >= CE(q -> q) with equality only at p = q
         rng = np.random.default_rng(11)
         dist = random_distribution(rng, 4, 3)
-        f_t = random_table_model(dist, 4, rng)
-        f_p = random_table_model(dist, 4, rng)
+        f_t = random_embedding(dist, 4, rng)
+        f_p = random_embedding(dist, 4, rng)
         assert population_distillation(f_t, f_p, dist) >= population_distillation(
             f_p, f_p, dist
         ) - 1e-12
@@ -141,8 +151,7 @@ class TestAnchorTables:
         # the similarity softmax over (positive, negatives of multiset J)
         # is a distribution whose positive entry the factored table gives
         dist = random_distribution(np.random.default_rng(5), 4, 3)
-        f = random_table_model(dist, 4, np.random.default_rng(6))
-        emb = f.embed(dist.points)
+        emb = random_embedding(dist, 4, np.random.default_rng(6))
         counts, _ = negative_weights(dist, 2)
         ex = np.empty((dist.size, dist.size))
         _anchor_tables(emb[None], np.arange(dist.size), ex)  # rows in index order
@@ -166,20 +175,21 @@ class TestMultisetEvaluator:
         rng = np.random.default_rng(17)
         for _ in range(3):
             dist = random_distribution(rng, 3, 3)
-            f_t = random_table_model(dist, 4, rng)
-            f_p = random_table_model(dist, 4, rng)
+            f_t = random_embedding(dist, 4, rng)
+            f_p = random_embedding(dist, 4, rng)
             assert population_contrastive(f_t, dist, 4) == pytest.approx(
-                oracle_population_contrastive(f_t, dist, 4), abs=1e-12
+                oracle_population_contrastive(table(dist, f_t), dist, 4), abs=1e-12
             )
             assert population_distillation(f_t, f_p, dist, 4) == pytest.approx(
-                oracle_population_distillation(f_t, f_p, dist, 4), abs=1e-12
+                oracle_population_distillation(table(dist, f_t), table(dist, f_p), dist, 4),
+                abs=1e-12,
             )
             assert abs(decomposition_residual(f_t, f_p, dist, 4)) < 1e-12
 
     def test_k_zero_rejected(self):
-        dist, model = two_point_antipodal()
+        dist, emb = two_point_antipodal()
         with pytest.raises(ValueError):
-            population_contrastive(model, dist, 0)
+            population_contrastive(emb, dist, 0)
 
 
 def grid_size(dist, k):
@@ -205,7 +215,7 @@ class TestBlockedEvaluator:
     @staticmethod
     def triple(dist, seed):
         rng = np.random.default_rng(seed)
-        return random_table_model(dist, 4, rng), random_table_model(dist, 4, rng)
+        return random_embedding(dist, 4, rng), random_embedding(dist, 4, rng)
 
     def test_multi_block_mixture_matches_whole_grid(self):
         tasks = make_blob_sequence(4, 2, 12, seed=3)  # 10 train points per class
@@ -251,7 +261,7 @@ class TestBlockedEvaluator:
             dist = random_distribution(rng, n, 3)
             P, M = grid_size(dist, k)
             assert P * M <= losses._BLOCK
-            f_t, f_p = random_table_model(dist, 4, rng), random_table_model(dist, 4, rng)
+            f_t, f_p = random_embedding(dist, 4, rng), random_embedding(dist, 4, rng)
             for prev in (None, f_p):
                 assert_same_bits(_population_terms(f_t, dist, k, prev),
                                  population_terms_reference(f_t, dist, k, prev))
@@ -263,8 +273,7 @@ class TestChunkedTables:
     @staticmethod
     def stacked(rng, B, n, k):
         dists = [random_distribution(rng, n, 3, n_classes=2) for _ in range(B)]
-        emb = [np.stack([random_table_model(d, 4, rng).embed(d.points) for d in dists])
-               for _ in range(2)]
+        emb = [np.stack([random_embedding(d, 4, rng) for d in dists]) for _ in range(2)]
         labels, mass = (np.stack([getattr(d, a) for d in dists]) for a in ("labels", "mass"))
         return dists, emb, labels, mass
 
@@ -286,8 +295,7 @@ class TestChunkedTables:
                                               k, None if prev is None else prev[b:b + 1])
                 assert_same_bits(alone[0], got[b])
                 whole = population_terms_reference(
-                    TableModel(dists[b].points, emb[0][b]), dists[b], k,
-                    None if prev is None else TableModel(dists[b].points, prev[b]))
+                    emb[0][b], dists[b], k, None if prev is None else prev[b])
                 assert_terms_close(got[b], whole)
 
     @pytest.mark.parametrize("rows", [1, 3, 5, 7, 11, 40])
@@ -312,7 +320,7 @@ class TestChunkedTables:
         dist = mixture([t.train for t in tasks], MixtureWeights(5, np.full(4, 0.25)))
         assert dist.size == 64 and dist.classes.size == 8
         rng = np.random.default_rng(1)
-        f_t, f_p = random_table_model(dist, 4, rng), random_table_model(dist, 4, rng)
+        f_t, f_p = random_embedding(dist, 4, rng), random_embedding(dist, 4, rng)
         M = math.comb(64 + 1, 2)
         core._multiset_rows.cache_clear()
         tracemalloc.start()
@@ -337,10 +345,9 @@ class TestTermSelectivePass:
         for _ in range(B):
             dists = [random_distribution(rng, n, 3, n_classes=3) for _ in range(parts)]
             mixes.append(mixture(dists, MixtureWeights(parts + 1, rng.dirichlet(np.ones(parts)))))
-        models = [[random_table_model(d, 4, rng) for d in mixes] for _ in range(2)]
-        emb = [np.stack([f.embed(d.points) for f, d in zip(fs, mixes)]) for fs in models]
+        emb = [np.stack([random_embedding(d, 4, rng) for d in mixes]) for _ in range(2)]
         stack = [np.stack([getattr(d, a) for d in mixes]) for a in ("labels", "mass")]
-        return mixes, models, emb, stack
+        return mixes, emb, stack
 
     @pytest.mark.parametrize("block", [7, 300, 1 << 12, 1 << 15])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -348,18 +355,18 @@ class TestTermSelectivePass:
         monkeypatch.setattr(losses, "_BLOCK", block)
         rng = np.random.default_rng(100 * k + block % 97)
         for parts, n in ((1, 5), (2, 4), (3, 6)):
-            mixes, (f_t, f_p), emb, (labels, mass) = self.random_mixtures(rng, 3, parts, n)
+            mixes, emb, (labels, mass) = self.random_mixtures(rng, 3, parts, n)
             full = losses._stacked_terms(emb[0], labels, mass, k, emb[1])
             part = losses._stacked_terms(emb[0], labels, mass, k, emb[1], dis_only=True)
             assert part[:, [0, 2]].tobytes() == full[:, [0, 2]].tobytes()
             assert np.isnan(part[:, [1, 3]]).all()
             for b, dist in enumerate(mixes):
-                got = population_distillation(f_t[b], f_p[b], dist, k)
+                got = population_distillation(emb[0][b], emb[1][b], dist, k)
                 assert got.hex() == float(full[b, 2]).hex()
 
     def test_without_previous_model_only_link_is_computed(self):
         rng = np.random.default_rng(3)
-        _, _, emb, (labels, mass) = self.random_mixtures(rng, 2, 2, 4)
+        _, emb, (labels, mass) = self.random_mixtures(rng, 2, 2, 4)
         full = losses._stacked_terms(emb[0], labels, mass, 2)
         part = losses._stacked_terms(emb[0], labels, mass, 2, dis_only=True)
         assert part.tobytes() == full.tobytes()
@@ -371,57 +378,43 @@ class TestDecomposition:
         rng = np.random.default_rng(9)
         for _ in range(10):
             dist = random_distribution(rng, 4, 3)
-            f_t = random_table_model(dist, 4, rng)
-            f_p = random_table_model(dist, 4, rng)
+            f_t = random_embedding(dist, 4, rng)
+            f_p = random_embedding(dist, 4, rng)
             assert abs(decomposition_residual(f_t, f_p, dist, k)) < 1e-12
 
 
 class TestAggregates:
-    def test_train_loss_combines_terms(self):
-        rng = np.random.default_rng(2)
-        dist = random_distribution(rng, 4, 3)
-        past = random_distribution(rng, 4, 3)
-        f_t = random_table_model(dist, 4, rng)
-        # the distillation support must be embeddable by both models
-        f_t2 = TableModel(
-            np.concatenate([dist.points, past.points]),
-            rng.standard_normal((dist.size + past.size, 4)),
-        )
-        f_p = TableModel(
-            np.concatenate([dist.points, past.points]),
-            rng.standard_normal((dist.size + past.size, 4)),
-        )
-        lam = 0.7
-        got = population_train_loss(f_t2, dist, lam, 1, f_p, past)
-        expect = population_contrastive(f_t2, dist, 1) + lam * population_distillation(
-            f_t2, f_p, past, 1
-        )
-        assert got == pytest.approx(expect, abs=1e-12)
-        # first task: no distillation inputs
-        assert population_train_loss(f_t, dist) == pytest.approx(
-            population_contrastive(f_t, dist, 1)
-        )
-
-    def test_negative_lambda_rejected(self):
-        dist = random_distribution(np.random.default_rng(0), 4, 3)
-        f = random_table_model(dist, 4, np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            population_train_loss(f, dist, lam=-0.1)
-
     def test_test_loss_sums_tasks(self):
         rng = np.random.default_rng(4)
         dists = [random_distribution(rng, 3, 2) for _ in range(3)]
-        f = TableModel(
-            np.concatenate([d.points for d in dists]),
-            rng.standard_normal((9, 4)),
-        )
-        assert population_test_loss(f, dists) == pytest.approx(
-            sum(population_contrastive(f, d) for d in dists)
+        emb = normalize_rows(rng.standard_normal((9, 4)))
+        assert population_test_loss(emb, dists) == pytest.approx(
+            sum(population_contrastive(emb[3 * i : 3 * i + 3], d) for i, d in enumerate(dists))
         )
         with pytest.raises(ValueError):
-            population_test_loss(f, [])
+            population_test_loss(emb, [])
+
+    def test_test_loss_needs_a_row_per_point(self):
+        rng = np.random.default_rng(5)
+        dists = [random_distribution(rng, 3, 2) for _ in range(2)]
+        for rows in (5, 7):  # the tasks hold 6 points
+            with pytest.raises(ValueError, match="one embedding row per support point"):
+                population_test_loss(normalize_rows(np.ones((rows, 4))), dists)
 
 
+class TestEmbeddingShape:
+    """A population loss takes one embedding row per support point."""
+
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4,), (1, 4, 4)])
+    def test_wrong_rows_rejected(self, shape):
+        dist = random_distribution(np.random.default_rng(0), 4, 3)
+        good = random_embedding(dist, 4, np.random.default_rng(1))
+        bad = normalize_rows(np.ones((int(np.prod(shape)) // 4, 4))).reshape(shape)
+        for args in ((bad, dist, 1), (good, dist, 1, bad), (bad, dist, 1, good)):
+            with pytest.raises(ValueError, match="one embedding row per support point"):
+                _population_terms(*args)
+        with pytest.raises(ValueError, match="one embedding row per support point"):
+            population_distillation(good, bad, dist)
 def random_batch(rng, n_pairs=4, d=5):
     z = rng.standard_normal((2 * n_pairs, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)

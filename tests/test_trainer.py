@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclab import trainer
-from cclab.core import NORM_TOL
+from cclab.core import NORM_TOL, normalize_rows
 from cclab.trainer import (
     Encoder,
     SgdConfig,
@@ -106,16 +106,17 @@ class TestEncoder:
         with pytest.raises(ValueError):
             Encoder((2, 4, 3), activation="sigmoid")
 
+    @pytest.mark.parametrize("dims", [(2, 0, 4), (2, 16, 0), (0, 4), (2, -3, 4)])
+    def test_zero_width_rejected(self, dims):
+        with pytest.raises(ValueError, match="layer width"):
+            Encoder(dims)
+
     def test_snapshot_matches_forward(self):
         enc = Encoder((2, 8, 4), seed=3)
         pts = np.random.default_rng(1).standard_normal((5, 2))
-        table = enc.snapshot(pts)
-        np.testing.assert_allclose(table.embed(pts), enc.forward(pts), atol=1e-15)
-
-    def test_encoder_acts_as_embedding_model(self):
-        enc = Encoder((2, 8, 4), seed=3)
-        pts = np.zeros((2, 2))
-        np.testing.assert_array_equal(enc.embed(pts), enc.forward(pts))
+        snap = enc.snapshot(pts)
+        np.testing.assert_allclose(snap, enc.forward(pts), atol=1e-15)
+        assert snap.tobytes() == normalize_rows(enc.forward(pts)).tobytes()
 
 
 class TestGradients:
@@ -289,6 +290,16 @@ class TestCheckpoints:
         doc[field] = value
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="sidecar"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Encoder((2, 4, 3), seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.float64(value).tobytes()  # the last bias
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
 
     @given(
