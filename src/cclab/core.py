@@ -20,8 +20,9 @@ import numpy as np
 NORM_TOL = 1e-12
 MASS_TOL = 1e-12
 MAX_K = 170  # the most negatives: the largest k whose k! is finite in float64
-# the most entries of one array a config may shape: n * C(n+k-1, k) multiset
-# counts, a trial's draw, an encoder's parameters, a blob sequence's points
+# the most entries of one array a config may shape: the n * C(n+k-1, k)
+# (anchor, multiset) table entries of an exact pass, a trial's draw, an
+# encoder's parameters, a blob sequence's points
 MAX_TABLE_ENTRIES = 1 << 26
 
 
@@ -175,47 +176,74 @@ def mixture(dists: list[TaskDistribution], w: MixtureWeights) -> TaskDistributio
 
 
 @functools.lru_cache(maxsize=64)
-def _multiset_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, k) index rows in combinations_with_replacement order and their
-    exact integer multinomials, as float: each row extends by every index
-    from its last on, and its multinomial grows by size / run length."""
-    rows, run = np.arange(n)[:, None], np.ones(n, dtype=np.int64)  # run: repeats of the last
+def _multiset_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, k) index rows in combinations_with_replacement order, in the
+    smallest unsigned dtype that holds n; their runs, the length of each run
+    of equal indices at its last column and 0 elsewhere; and their exact
+    integer multinomials, as float. Each row extends by every index from its
+    last on, and its multinomial grows by size / run length. Rows and runs
+    are views of (k, M) arrays, one contiguous row per column."""
+    rows, runs = np.arange(n, dtype=np.min_scalar_type(n))[None], np.ones((1, n), np.uint8)
     mult = np.ones(n, dtype=np.int64 if k <= 20 else object)  # 20! fits int64
     for size in range(2, k + 1):
-        last = rows[:, -1]
-        parent = np.repeat(np.arange(len(rows)), n - last)
+        last = rows[-1].astype(np.intp)
+        parent = np.repeat(np.arange(len(last)), n - last)
         new = np.arange(len(parent)) - np.repeat(np.cumsum(n - last) - n, n - last)  # last..n-1
-        run = np.where(new == last[parent], run[parent] + 1, 1)
-        mult = mult[parent] * size // run
-        rows = np.column_stack([rows[parent], new])
+        runs = runs[:, parent]
+        extends = new == last[parent]  # the last run grows by one, or a new run of one starts
+        run = np.where(extends, runs[-1] + 1, 1)
+        runs[-1, extends] = 0
+        mult = mult[parent] * size // run.astype(np.int64)
+        rows = np.vstack([rows[:, parent], new.astype(rows.dtype)])
+        runs = np.vstack([runs, run])
     mult = mult.astype(np.float64)
-    mult.setflags(write=False)
-    return rows, mult
+    for a in (rows, runs, mult):
+        a.setflags(write=False)
+    return rows.T, runs.T, mult
 
 
-def negative_multisets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def negative_multisets(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The C(n+k-1, k) multisets of k negatives from an n-point support.
 
-    Returns (counts, multiplicity): row J of the (M, n) ``counts`` says
-    how often each point occurs in multiset J, and ``multiplicity[J]`` is
-    the multinomial coefficient k! / prod_j counts[J, j]!, the number of
-    ordered k-tuples that sort to J. Only the (M, k) index rows and the
-    multiplicities are cached per (n, k), O(k * M) bytes; the counts are
-    formed from the index rows on each call, in one scatter-add. Both
-    arrays are read-only; k runs from 1 to ``MAX_K``, and the counts may
-    hold at most ``MAX_TABLE_ENTRIES`` entries, checked before any work.
+    Returns (rows, runs, multiplicity): row J of the (M, k) ``rows`` lists
+    multiset J's points in ascending order, ``runs[J, c]`` is the length of
+    the run of equal indices that ends at column c (0 where none ends), and
+    ``multiplicity[J]`` is the multinomial coefficient k! / prod runs[J]!,
+    the number of ordered k-tuples that sort to J. The arrays are cached
+    per (n, k), read-only, in O(k * M) bytes; no (M, n) counts are formed
+    (:func:`multiset_counts` builds them for a block of rows). k runs from
+    1 to ``MAX_K``, and n * M may be at most ``MAX_TABLE_ENTRIES``, checked
+    before any work.
     """
     if k < 1:
         raise ValueError("need at least one negative sample")
     if k > MAX_K:
         raise ValueError(f"at most {MAX_K} negative samples, got {k}")
     if n * math.comb(n + k - 1, k) > MAX_TABLE_ENTRIES:
-        raise ValueError(f"n = {n}, k = {k} needs more than {MAX_TABLE_ENTRIES} count entries")
-    rows, multiplicity = _multiset_rows(n, k)
-    counts = np.zeros((n, len(rows)))  # laid out so that counts.T is C-contiguous for BLAS
-    np.add.at(counts.ravel(), rows * len(rows) + np.arange(len(rows))[:, None], 1.0)
-    counts.setflags(write=False)
-    return counts.T, multiplicity
+        raise ValueError(f"n = {n}, k = {k} needs more than {MAX_TABLE_ENTRIES} table entries")
+    return _multiset_rows(n, k)
+
+
+def multiset_counts(rows: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The (n, J) counts of J index rows over n points, C-contiguous for
+    BLAS: entry (i, j) is how often point i occurs in rows[j]. Written
+    into ``out``, a C-contiguous (n, J) float array, when one is given."""
+    counts = np.empty((n, len(rows))) if out is None else out
+    counts.fill(0.0)
+    np.add.at(counts.reshape(-1), rows * np.intp(len(rows)) + np.arange(len(rows))[:, None], 1.0)
+    return counts
+
+
+def multiset_weights(mass: np.ndarray, rows: np.ndarray, runs: np.ndarray,
+                     multiplicity: np.ndarray) -> np.ndarray:
+    """The probabilities, (..., J), of J rows of :func:`negative_multisets`
+    under (..., n) point masses: multiplicity[J] times one factor
+    mass[i] ** run per run of equal indices, multiplied in ascending i."""
+    factors = mass.take(rows.T, axis=-1)  # (..., k, J), C-ordered, as the weights come out
+    np.power(factors, runs.T, out=factors)  # 1.0 where no run ends
+    weights = np.multiply.reduce(factors, axis=-2)
+    weights *= multiplicity
+    return weights
 
 
 def negative_weights(dist: TaskDistribution, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,17 +252,12 @@ def negative_weights(dist: TaskDistribution, k: int) -> tuple[np.ndarray, np.nda
     Each negative is drawn via its own class draw c_i ~ mu and x_i ~
     D_{c_i}; marginalizing the class draws leaves the k negatives i.i.d.
     with the raw point masses, so multiset J has probability
-    multiplicity[J] * prod_j mass_j^counts[J, j]. Negatives may collide
-    with the anchor's class or the anchor itself.
-    Returns (counts (M, n), weights (M,)); the weights sum to 1.
+    multiplicity[J] * prod_j mass_j^count_j. Negatives may collide with
+    the anchor's class or the anchor itself.
+    Returns (rows (M, k), weights (M,)); the weights sum to 1.
     """
-    return stacked_negative_weights(dist.mass, k)
-
-
-def stacked_negative_weights(mass: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """negative_weights of (n,) or (B, n) masses: counts (M, n), weights (..., M)."""
-    counts, multiplicity = negative_multisets(mass.shape[-1], k)
-    return counts, multiplicity * np.prod(mass[..., None, :] ** counts, axis=-1)
+    rows, runs, multiplicity = negative_multisets(dist.size, k)
+    return rows, multiset_weights(dist.mass, rows, runs, multiplicity)
 
 
 def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

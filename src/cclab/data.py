@@ -161,6 +161,8 @@ def monte_carlo_contrastive(
     """
     if draws < 1:
         raise ValueError("need at least one draw")
+    if chunk < 1:
+        raise ValueError(f"need at least one draw per chunk, got {chunk}")
     emb = _rows(emb, dist.size)
     rng = np.random.default_rng(seed)
     sims = emb @ emb.T

@@ -11,15 +11,18 @@ past-IRD logits, with both losses read off its row log-normalisers.
 Population expectations are computed by exact enumeration over the
 support. Both losses are symmetric in the k negatives, which depend only
 on the anchor, so the negatives are enumerated as the M = C(n+k-1, k)
-multisets of :func:`core.negative_weights` and folded into per-anchor
+multisets of :func:`core.negative_multisets` and folded into per-anchor
 tables; every loss is then evaluated on the (pair, multiset) grid, which
-is walked in blocks of consecutive pairs. Time is O(n^2 * M + P * M) per
-pass, where P is the number of same-class ordered pairs, against
-O(P * n^k) for enumerating ordered tuples. Working memory is the pass's
-(M, n) multiset counts plus the tables of one chunk of about 2^15 / M
-anchors and one block of about 2^15 grid entries: a k = 2 distillation
-pass on a 64-point mixture peaks at 2.8 MiB (tracemalloc), against 4.7
-MiB with whole (n, M) tables. A pass takes a stack of same-size trials,
+is walked in blocks of consecutive pairs against a block of multisets at
+a time. Time is O(n^2 * M + P * M) per pass, where P is the number of
+same-class ordered pairs, against O(P * n^k) for enumerating ordered
+tuples. Working memory is the cached (M, k) index rows and runs, O(k * M)
+bytes, plus one block of at most 6553 multisets' (n, J) counts and
+weights, the tables of one chunk of anchors and one block of about 2^15
+grid entries; no (M, n) array is formed. A k = 2 distillation pass on a
+64-point mixture peaks at 2.55 MiB (tracemalloc), against 2.8 MiB with
+dense (M, n) counts, and a pass at (n, k) = (16, 8) at 25 MiB, against
+157 MiB. A pass takes a stack of same-size trials,
 each bit-identical to a pass on it alone: bounds.lemma1_trials evaluates
 its random trials in stacked blocks, and population_bound_check its
 2T - 1 contrastive (embedding, distribution) pairs in one pass per support
@@ -38,7 +41,9 @@ import numpy as np
 
 from .core import (
     TaskDistribution,
-    stacked_negative_weights,
+    multiset_counts,
+    multiset_weights,
+    negative_multisets,
     stacked_positive_pairs,
 )
 
@@ -75,6 +80,12 @@ class _PopulationTerms(NamedTuple):
 # Entries of the (pair, multiset) grid per block: 256 KiB per f8 array,
 # so a block's handful of temporaries stays in L2.
 _BLOCK = 1 << 15
+# Multisets per block of the grid's columns, five pairs' worth of a block:
+# a pass forms the (n, J) counts and weights of one such block at a time and
+# walks every pair against it. M up to 6553 is one block (k = 2 up to
+# n = 113). From 5000 to 8192 multisets passes at k >= 3 ran alike; at 4096
+# and 12288 they were a third slower (2-core x86-64 VM, numpy 2.4, OpenBLAS).
+_MULTISETS = _BLOCK // 5
 
 
 def _rows(emb, n: int) -> np.ndarray:
@@ -120,25 +131,27 @@ def _stacked_terms(
     """The single exact pass behind every population loss, on B trials:
     (B, n, e) unit embeddings of f_t and optionally f_prev and (B, n) labels
     and masses in, each trial's _PopulationTerms out as a (B, 4) row (NaN
-    but con_t without ``emb_prev``; ``dis_only`` skips the link' and cross
-    rows, so con_prev and residual come back NaN). For pair (a, b) and
-    multiset J, with
-    S = sum_{j in J} exp(s_aj), S' and e'_ab the same for f_prev, and
+    but con_t without ``emb_prev``; ``dis_only`` folds the CE alone, so
+    every column but dis comes back NaN). For pair (a, b) and multiset J,
+    with S = sum_{j in J} exp(s_aj), S' and e'_ab the same for f_prev, and
     R = sum_{j in J} exp(s'_aj) s_aj:
       link  = log(exp(s_ab) + S) - s_ab
       CE    = log(exp(s_ab) + S) - (e'_ab s_ab + R) / (e'_ab + S')
       cross = (s_ab S' - R) / (e'_ab + S').
     Expectations weight pair p by its probability and J by its
-    multiplicity times prod_j mass_j^count_j. All trials' pairs, in
-    positive_pairs order, are walked in blocks of at most ``_BLOCK // M``
-    that split only a longer trial, and each trial's segment is folded as
-    pair_w[seg] @ values @ neg_w[trial]: a trial sums as in a pass on it
-    alone, and a trial of one block as a whole-grid pass. S, S' and R are
-    built a chunk of anchors at a time, in class-ranked rows: whole trials
-    while they fit, else part of one from a block's first anchor on.
+    multiplicity times prod_j mass_j^count_j. The multisets are taken a
+    block of ``_MULTISETS`` at a time, whose (n, J) counts and weights
+    are formed from the cached index rows. Against each block, all trials'
+    pairs, in positive_pairs order, are walked in blocks of at most
+    ``_BLOCK // min(M, _MULTISETS)`` that split only a longer trial, and each trial's
+    segment is folded as pair_w[seg] @ values @ neg_w[trial]: a trial sums
+    as in a pass on it alone, and a trial of one block as a whole-grid
+    pass. S, S' and R are built by BLAS on the counts, a chunk of anchors
+    at a time, in class-ranked rows: whole trials while they fit, else part
+    of one from a block's first anchor on.
     """
     B, n = labels.shape
-    counts, neg_w = stacked_negative_weights(mass, k)
+    multisets, runs, multiplicity = negative_multisets(n, k)
     order, trial, anchor_row, positives, pair_w = stacked_positive_pairs(labels, mass)
     fold = np.empty((1 if emb_prev is None else 3, B * n, n))  # summed over J into S, S', R
     sims, shift = _anchor_tables(emb_t, order, fold[0])
@@ -150,59 +163,71 @@ def _stacked_terms(
         e_ab_prev = fold[1][anchor_row, positives][:, None]  # e'_ab
         e_s = e_ab_prev * s_ab
         np.multiply(fold[1], sims, out=fold[2])
-    rows, P, M = max(1, _BLOCK // len(counts)), trial.size, len(counts)
+    P, M = trial.size, len(multisets)
     starts = [0, P] if B == 1 else np.searchsorted(trial, np.arange(B + 1)).tolist()
-    buf = np.empty((1 if emb_prev is None else 3 if dis_only else 4, min(rows, P), M))
+    out = np.full((B, 4), np.nan)
+    dis_only = dis_only and emb_prev is not None
+    # the lines of a block: link, link', CE and cross; under dis_only S', then CE
+    lines, line_s = (2, 0) if dis_only else (1 if emb_prev is None else 4, 1)
+    folded = slice(1, 2) if dis_only else slice(0, lines)  # the lines folded into acc
+    acc = out[:, slice(2, 3) if dis_only else folded]  # the columns each trial sums into
+    acc[:] = 0.0
+    width = min(M, _MULTISETS)
+    rows = max(1, _BLOCK // width)  # pairs per block of the grid
     whole = n <= rows  # chunks of whole trials, else of part of one trial
     chunk = min((rows // n + 1) * n, B * n) if whole else rows  # holds a block's anchors
     lead = (len(fold), -1, n) if whole else (-1,)  # a product per trial and table, else one
-    tabs_buf = np.empty(len(fold) * chunk * M)
-    folded = slice(0, len(buf), 2 if dis_only else 1)  # rows of buf summed into out columns
-    out = np.full((B, 4), np.nan)
-    acc = out[:, folded]  # the columns each trial's segments sum into
-    acc[:] = 0.0
-    neg_w = neg_w[:, :, None]
-    lo = c1 = 0
-    while lo < P:  # a block: whole trials while they fit, else part of one
-        fit = starts[bisect.bisect_right(starts, lo + rows) - 1]
-        stop = fit if fit > lo else lo + rows
-        if anchor_row[stop - 1] >= c1:  # the next chunk of tables, from the block's anchors on
-            c0 = int(anchor_row[lo])
-            c0 -= c0 % n if whole else 0
-            c1 = min(c0 + chunk, B * n if whole else c0 - c0 % n + n)
-            tabs = tabs_buf[: len(fold) * (c1 - c0) * M]
-            np.matmul(fold[:, c0:c1].reshape(*lead, n), counts.T, out=tabs.reshape(*lead, M))
-            tabs = tabs.reshape(len(fold), -1, M)
-        g = anchor_row[lo:stop]
-        a = g - c0
-        v = buf[:, : stop - lo]  # the block's link, then link' (first S'), CE and cross
-        lse = tabs[0].take(a, 0, v[0], "clip")
-        lse += e_ab_t[lo:stop]  # log(exp(s_ab) + S), shifted back, then the link
-        np.log(lse, out=lse)
-        lse += shift[g]
-        if emb_prev is not None:
-            denom = tabs[1].take(a, 0, v[1], "clip")  # S', then e'_ab + S'
-            r = tabs[2].take(a, 0, v[2], "clip")
+    counts_buf, tabs_buf = np.empty(n * width), np.empty(len(fold) * chunk * width)
+    buf = np.empty(lines * min(rows, P) * width)
+    for j0 in range(0, M, width):  # a block of multisets, all pairs walked against it
+        J = slice(j0, j0 + width)
+        w = len(multisets[J])
+        counts = multiset_counts(multisets[J], n, counts_buf[: n * w].reshape(n, w))
+        neg_w = multiset_weights(mass, multisets[J], runs[J], multiplicity[J])[:, :, None]
+        block = buf[: lines * min(rows, P) * w].reshape(lines, -1, w)
+        lo = c1 = 0
+        while lo < P:  # a block of pairs: whole trials while they fit, else part of one
+            fit = starts[bisect.bisect_right(starts, lo + rows) - 1]
+            stop = fit if fit > lo else lo + rows
+            if anchor_row[stop - 1] >= c1:  # the next chunk of tables, from the block's anchors on
+                c0 = int(anchor_row[lo])
+                c0 -= c0 % n if whole else 0
+                c1 = min(c0 + chunk, B * n if whole else c0 - c0 % n + n)
+                tabs = tabs_buf[: len(fold) * (c1 - c0) * w]
+                np.matmul(fold[:, c0:c1].reshape(*lead, n), counts, out=tabs.reshape(*lead, w))
+                tabs = tabs.reshape(len(fold), -1, w)
+            g = anchor_row[lo:stop]
+            a = g - c0
+            v = block[:, : stop - lo]  # the block's lines, link' and CE from S' and R on
+            if emb_prev is not None:
+                denom = tabs[1].take(a, 0, v[line_s], "clip")  # S', then e'_ab + S'
+                r = tabs[2].take(a, 0, v[line_s + 1], "clip")
+                if not dis_only:
+                    np.multiply(denom, s_ab[lo:stop], out=v[3])
+                    v[3] -= r
+                denom += e_ab_prev[lo:stop]
+                r += e_s[lo:stop]
+                r /= denom
+                if not dis_only:
+                    v[3] /= denom
+                    np.log(denom, out=denom)
+                    denom += shift_p[g]
+                    denom -= s_prev[lo:stop]
+            lse = tabs[0].take(a, 0, v[0], "clip")  # under dis_only over e'_ab + S'
+            lse += e_ab_t[lo:stop]  # log(exp(s_ab) + S), shifted back, then the link
+            np.log(lse, out=lse)
+            lse += shift[g]
+            if emb_prev is not None:
+                np.subtract(lse, r, out=r)  # the CE
             if not dis_only:
-                np.multiply(denom, s_ab[lo:stop], out=v[3])
-                v[3] -= r
-            denom += e_ab_prev[lo:stop]
-            r += e_s[lo:stop]  # then the CE
-            r /= denom
-            np.subtract(lse, r, out=r)
-            if not dis_only:
-                v[3] /= denom
-                np.log(denom, out=denom)
-                denom += shift_p[g]
-                denom -= s_prev[lo:stop]
-        lse -= s_ab[lo:stop]
-        v = v[folded]
-        i0, i1 = bisect.bisect_right(starts, lo), bisect.bisect_left(starts, stop)
-        edges = [lo, *starts[i0:i1], stop]  # the block's segment of each trial
-        for b, seg0, seg1 in zip(range(i0 - 1, i1), edges, edges[1:]):
-            w_v = pair_w[seg0:seg1] @ v[:, seg0 - lo : seg1 - lo]
-            acc[b] += (w_v[:, None] @ neg_w[b])[:, 0, 0]
-        lo = stop
+                lse -= s_ab[lo:stop]
+            v = v[folded]
+            i0, i1 = bisect.bisect_right(starts, lo), bisect.bisect_left(starts, stop)
+            edges = [lo, *starts[i0:i1], stop]  # the block's segment of each trial
+            for b, seg0, seg1 in zip(range(i0 - 1, i1), edges, edges[1:]):
+                w_v = pair_w[seg0:seg1] @ v[:, seg0 - lo : seg1 - lo]
+                acc[b] += (w_v[:, None] @ neg_w[b])[:, 0, 0]
+            lo = stop
     out[:, 3] = out[:, 2] - out[:, 0] - out[:, 3]
     return out
 

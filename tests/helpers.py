@@ -31,10 +31,8 @@ from cclab.core import (
     MixtureWeights,
     TaskDistribution,
     mixture,
-    negative_weights,
     normalize_rows,
     positive_pairs,
-    stacked_negative_weights,
     stacked_positive_pairs,
 )
 from cclab import losses
@@ -171,8 +169,8 @@ def population_terms_reference(emb_t, dist, k, emb_prev=None):
     """(con_t, con_prev, dis, residual) of the (n, e) rows of f_t and f_prev
     from one pass over the whole (pair, multiset) grid at once, as
     losses._population_terms computed them before it walked the grid in
-    blocks."""
-    counts, neg_w = negative_weights(dist, k)
+    blocks, on the dense counts of dense_negative_weights_reference."""
+    counts, neg_w = dense_negative_weights_reference(dist.mass, k)
     anchors, positives, pair_w = positive_pairs(dist)
 
     def tables(emb):
@@ -206,18 +204,41 @@ def population_terms_reference(emb_t, dist, k, emb_prev=None):
 
 
 def negative_multisets_reference(n, k):
-    """core.negative_multisets as it was built before it cached index rows:
-    the combinations_with_replacement tuples as a Python list, np.add.at
-    into dense (M, n) counts, and multiplicities k! / prod_j counts_j! from
-    float64 factorials."""
-    combos = np.array(
+    """core.negative_multisets from the combinations_with_replacement tuples
+    as a Python list: (M, k) int64 index rows, their runs (each run of
+    equal indices' length at its last column, 0 elsewhere) found one column
+    at a time, and multiplicities k! / prod runs! from float64 factorials,
+    multiplied in ascending index order."""
+    rows = np.array(
         list(itertools.combinations_with_replacement(range(n), k)), dtype=np.int64
     ).reshape(-1, k)
-    counts = np.zeros((combos.shape[0], n))
-    np.add.at(counts, (np.arange(combos.shape[0])[:, None], combos), 1.0)
+    runs = np.zeros_like(rows)
+    run = np.ones(len(rows), dtype=np.int64)
+    for c in range(k):
+        if c:
+            run = np.where(rows[:, c] == rows[:, c - 1], run + 1, 1)
+        ends = rows[:, c] != rows[:, c + 1] if c + 1 < k else np.ones(len(rows), bool)
+        runs[:, c] = np.where(ends, run, 0)
     factorials = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.float64)
-    multiplicity = factorials[k] / factorials[counts.astype(np.int64)].prod(axis=1)
-    return counts, multiplicity
+    multiplicity = factorials[k] / factorials[runs].prod(axis=1)
+    return rows, runs, multiplicity
+
+
+def dense_counts_reference(rows, n):
+    """The (M, n) counts of index rows, scattered with np.add.at: row J says
+    how often each point occurs in multiset J."""
+    counts = np.zeros((len(rows), n))
+    np.add.at(counts, (np.arange(len(rows))[:, None], rows), 1.0)
+    return counts
+
+
+def dense_negative_weights_reference(mass, k):
+    """The negative multisets of (..., n) masses as core built them before it
+    dropped whole counts: dense (M, n) counts, and weights multiplicity *
+    prod_j mass_j ** counts_j over a (..., M, n) power temporary."""
+    rows, _, multiplicity = negative_multisets_reference(mass.shape[-1], k)
+    counts = dense_counts_reference(rows, mass.shape[-1])
+    return counts, multiplicity * np.prod(mass[..., None, :] ** counts, axis=-1)
 
 
 def positive_pairs_reference(dist):
@@ -237,9 +258,10 @@ def stacked_terms_reference(emb_t, labels, mass, k, emb_prev=None):
     it built its tables a chunk of anchors at a time: whole (B*n, M) tables
     in index order, the same blocks of ``losses._BLOCK // M`` pairs and the
     same per-trial fold, so each term has the same bits at k <= 2, where a
-    table entry sums at most two nonzero terms in any order."""
+    table entry sums at most two nonzero terms in any order. Its counts and
+    weights are dense_negative_weights_reference's."""
     B, n = labels.shape
-    counts, neg_w = stacked_negative_weights(mass, k)
+    counts, neg_w = dense_negative_weights_reference(mass, k)
     order, trial, rows, positives, pair_w = stacked_positive_pairs(labels, mass)
     anchor_row = order[rows]  # the anchor's own row, in index order
 

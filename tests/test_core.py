@@ -18,13 +18,16 @@ from cclab.core import (
     MixtureWeights,
     TaskDistribution,
     mixture,
+    multiset_counts,
+    multiset_weights,
     negative_multisets,
     negative_weights,
     normalize_rows,
     positive_pairs,
-    stacked_negative_weights,
 )
 from tests.helpers import (
+    dense_counts_reference,
+    dense_negative_weights_reference,
     negative_multisets_reference,
     positive_pairs_reference,
 )
@@ -181,25 +184,54 @@ class TestMixture:
 class TestOutcomeSpace:
     def test_negative_multisets_shape(self):
         for n, k in [(3, 2), (4, 1), (4, 5), (6, 10)]:
-            counts, multiplicity = negative_multisets(n, k)
-            assert counts.shape == (math.comb(n + k - 1, k), n)
-            np.testing.assert_array_equal(counts.sum(axis=1), k)
+            rows, runs, multiplicity = negative_multisets(n, k)
+            assert rows.shape == runs.shape == (math.comb(n + k - 1, k), k)
+            assert rows.dtype == runs.dtype == np.uint8
+            np.testing.assert_array_equal(runs.sum(axis=1), k)
+            np.testing.assert_array_equal(multiset_counts(rows, n).sum(axis=0), k)
             assert multiplicity.sum() == n**k  # every ordered tuple once
-        with pytest.raises(ValueError):
-            negative_multisets(3, 2)[0][0, 0] = 5.0  # cached tables are read-only
+        for a in negative_multisets(3, 2):
+            with pytest.raises(ValueError):
+                a[0, ...] = 5  # cached tables are read-only
+        assert negative_multisets(256, 1)[0].dtype == np.uint16  # the smallest dtype holding n
 
     @pytest.mark.parametrize("k", range(1, 19))
     def test_numpy_build_matches_itertools_oracle(self, k):
-        # up to k = 18 every factorial is exact in float64, so the old
-        # quotients were exact integers and both builds share every bit
+        # up to k = 18 every factorial is exact in float64, so the oracle's
+        # quotients are exact integers and both builds share every bit
         n = 1
         while n * math.comb(n + k - 1, k) <= 1 << 20:
-            counts, multiplicity = negative_multisets(n, k)
-            ref_counts, ref_multiplicity = negative_multisets_reference(n, k)
-            assert counts.shape == ref_counts.shape
-            assert np.array_equal(counts.view(np.uint64), ref_counts.view(np.uint64)), (n, k)
+            rows, runs, multiplicity = negative_multisets(n, k)
+            ref_rows, ref_runs, ref_multiplicity = negative_multisets_reference(n, k)
+            assert rows.tobytes() == ref_rows.astype(rows.dtype).tobytes(), (n, k)
+            assert runs.tobytes() == ref_runs.astype(runs.dtype).tobytes(), (n, k)
             assert multiplicity.tobytes() == ref_multiplicity.tobytes(), (n, k)
             n += 1
+
+    @pytest.mark.parametrize("n, k", [(1, 7), (4, 5), (8, 3), (16, 2), (64, 2), (12, 4)])
+    def test_count_blocks_match_dense_counts(self, n, k):
+        rows, _, _ = negative_multisets(n, k)
+        dense = dense_counts_reference(rows.astype(np.int64), n)
+        out = np.full(n * 100, np.nan)
+        for j0 in range(0, len(rows), 100):
+            block = rows[j0 : j0 + 100]
+            got = multiset_counts(block, n, out[: n * len(block)].reshape(n, len(block)))
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(dense[j0 : j0 + 100].T).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+    def test_weights_match_dense_power_product(self, k):
+        # a factor per run, multiplied in ascending index order, has the bits
+        # of prod_j mass_j ** counts_j, whose other factors are exact 1.0s
+        rng = np.random.default_rng(k)
+        for n in (1, 2, 3, 5, 8, 13):
+            if n * math.comb(n + k - 1, k) > 1 << 18:
+                break
+            mass = rng.dirichlet(np.full(n, 0.5), size=3)
+            rows, runs, multiplicity = negative_multisets(n, k)
+            got = multiset_weights(mass, rows, runs, multiplicity)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == dense_negative_weights_reference(mass, k)[1].tobytes(), n
 
     def test_positive_pairs_weights_sum_to_one(self):
         _, _, w = positive_pairs(four_point_dist())
@@ -242,11 +274,8 @@ class TestOutcomeSpace:
                 ordered = defaultdict(float)
                 for combo in itertools.product(range(n), repeat=k):
                     ordered[tuple(sorted(combo))] += math.prod(mass[i] for i in combo)
-                counts, neg_w = negative_weights(d, k)
-                got = {
-                    tuple(np.repeat(np.arange(n), row.astype(int))): w
-                    for row, w in zip(counts, neg_w)
-                }
+                rows, neg_w = negative_weights(d, k)
+                got = {tuple(row.tolist()): w for row, w in zip(rows, neg_w)}
                 assert got.keys() == ordered.keys()
                 for key, w in ordered.items():
                     assert got[key] == pytest.approx(w, rel=1e-13, abs=1e-16)
@@ -265,25 +294,25 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError, match="at most"):
             negative_weights(two_class_dist(), MAX_K + 1)
         assert time.perf_counter() - start < 0.5
-        counts, multiplicity = negative_multisets(1, MAX_K)  # one multiset, once
-        assert counts.tolist() == [[float(MAX_K)]] and multiplicity.tolist() == [1.0]
+        rows, runs, multiplicity = negative_multisets(1, MAX_K)  # one multiset, once
+        assert rows.tolist() == [[0] * MAX_K] and multiplicity.tolist() == [1.0]
+        assert runs.tolist() == [[0] * (MAX_K - 1) + [MAX_K]]
 
     def test_table_above_the_cap_rejected_before_any_allocation(self, monkeypatch):
-        # a 64-point mixture at k = 5: 64 * C(68, 5) ~ 6.7e8 count entries
-        mass = np.full(64, 1 / 64)
+        # a 64-point mixture at k = 5: 64 * C(68, 5) ~ 6.7e8 table entries
+        dist = TaskDistribution(np.eye(64), np.arange(64), np.full(64, 1 / 64))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="count entries"):
-                negative_multisets(64, 5)
-            with pytest.raises(ValueError, match="count entries"):
-                stacked_negative_weights(mass, 5)  # the exact pass's entry
+            with pytest.raises(ValueError, match="table entries"):
+                negative_multisets(64, 5)  # the exact pass's entry
+            with pytest.raises(ValueError, match="table entries"):
+                negative_weights(dist, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
         monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 4 * 10)  # 4 points, C(5, 2) multisets
-        assert negative_multisets(4, 2)[0].shape == (10, 4)
+        assert negative_multisets(4, 2)[0].shape == (10, 2)
         monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 4 * 10 - 1)
-        with pytest.raises(ValueError, match="count entries"):
+        with pytest.raises(ValueError, match="table entries"):
             negative_multisets(4, 2)
-

@@ -110,6 +110,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_contrastive(emb, dist, draws=0)
 
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_empty_chunks_rejected(self, chunk):
+        # a chunk below one draw never lowers the draws left: refused up front
+        dist = random_distribution(np.random.default_rng(0), 4, 3)
+        emb = random_embedding(dist, 4, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="per chunk"):
+            monte_carlo_contrastive(emb, dist, draws=10, chunk=chunk)
+        assert np.isfinite(monte_carlo_contrastive(emb, dist, draws=10, chunk=1)[0])
+
     def test_needs_a_row_per_point(self):
         dist = random_distribution(np.random.default_rng(0), 4, 3)
         emb = random_embedding(dist, 4, np.random.default_rng(1))

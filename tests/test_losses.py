@@ -13,6 +13,7 @@ from cclab.core import (
     MixtureWeights,
     TaskDistribution,
     mixture,
+    multiset_counts,
     negative_weights,
     normalize_rows,
     positive_pairs,
@@ -152,14 +153,13 @@ class TestAnchorTables:
         # is a distribution whose positive entry the factored table gives
         dist = random_distribution(np.random.default_rng(5), 4, 3)
         emb = random_embedding(dist, 4, np.random.default_rng(6))
-        counts, _ = negative_weights(dist, 2)
+        rows, _ = negative_weights(dist, 2)
         ex = np.empty((dist.size, dist.size))
         _anchor_tables(emb[None], np.arange(dist.size), ex)  # rows in index order
-        sums = ex @ counts.T
+        sums = ex @ multiset_counts(rows, dist.size)
         anchors, positives, _ = positive_pairs(dist)
         for a, b in zip(anchors, positives):
-            for J, row in enumerate(counts):
-                negs = np.repeat(np.arange(dist.size), row.astype(int))
+            for J, negs in enumerate(rows):
                 logits = emb[a] @ emb[np.concatenate([[b], negs])].T
                 p = np.exp(logits - logits.max())
                 p /= p.sum()
@@ -329,14 +329,52 @@ class TestChunkedTables:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the pass's dense (M, n) counts alone take 1 MiB; whole tables took 3 more
-        assert peak <= 3 * 2**20
-        # what stays is the cache: the (M, 2) index rows and M multiplicities
-        assert retained <= 8 * 3 * M + 16 * 2**10
+        # the pass's (n, M) counts take 1 MiB and its tables and block of CE
+        # lines 0.7 and 0.5 MiB; dense counts and a power temporary took 2.8
+        # MiB in all, whole tables 4.7
+        assert peak <= 2.6 * 2**20
+        # what stays is the cache: the (M, 2) uint8 index rows and runs and M multiplicities
+        assert retained <= 12 * M + 16 * 2**10
+
+    @pytest.mark.parametrize("n, k, bound_mib", [(16, 8, 64), (64, 3, 8)])
+    def test_large_k_pass_memory(self, n, k, bound_mib):
+        # no (M, n) array: the cache and one block of counts, tables and
+        # lines; dense counts and their power temporary peaked at 157 and
+        # 46.4 MiB. Two points a class keep the grid, not the buffers, small
+        rng = np.random.default_rng(n + k)
+        dist = random_distribution(rng, n, 3, n_classes=n // 2)
+        f_t, f_p = random_embedding(dist, 4, rng), random_embedding(dist, 4, rng)
+        for run in (lambda: population_contrastive(f_t, dist, k),
+                    lambda: population_distillation(f_t, f_p, dist, k),
+                    lambda: _population_terms(f_t, dist, k, f_p)):
+            core._multiset_rows.cache_clear()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound_mib * 2**20
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_several_multiset_blocks(self, monkeypatch, k):
+        # 7 multisets a block: every trial is walked against each block in
+        # turn, and sums as alone and as the whole-grid pass
+        rng = np.random.default_rng(50 + k)
+        dists, emb, labels, mass = self.stacked(rng, 3, 6, k)
+        monkeypatch.setattr(losses, "_MULTISETS", 7)
+        for prev in (None, emb[1]):
+            got = losses._stacked_terms(emb[0], labels, mass, k, prev)
+            for b in range(3):
+                alone = losses._stacked_terms(emb[0][b:b + 1], labels[b:b + 1], mass[b:b + 1],
+                                              k, None if prev is None else prev[b:b + 1])
+                assert_same_bits(alone[0], got[b])
+                assert_terms_close(got[b], population_terms_reference(
+                    emb[0][b], dists[b], k, None if prev is None else prev[b]))
 
 
 class TestTermSelectivePass:
-    """``dis_only`` skips link' and cross and leaves the CE column's bits."""
+    """``dis_only`` folds the CE alone and leaves its column's bits."""
 
     @staticmethod
     def random_mixtures(rng, B, parts, n):
@@ -358,8 +396,8 @@ class TestTermSelectivePass:
             mixes, emb, (labels, mass) = self.random_mixtures(rng, 3, parts, n)
             full = losses._stacked_terms(emb[0], labels, mass, k, emb[1])
             part = losses._stacked_terms(emb[0], labels, mass, k, emb[1], dis_only=True)
-            assert part[:, [0, 2]].tobytes() == full[:, [0, 2]].tobytes()
-            assert np.isnan(part[:, [1, 3]]).all()
+            assert part[:, 2].tobytes() == full[:, 2].tobytes()
+            assert np.isnan(part[:, [0, 1, 3]]).all()
             for b, dist in enumerate(mixes):
                 got = population_distillation(emb[0][b], emb[1][b], dist, k)
                 assert got.hex() == float(full[b, 2]).hex()
