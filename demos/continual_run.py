@@ -9,7 +9,8 @@ computed lower and upper bounds. Run with:  python3 demos/continual_run.py
 
 import numpy as np
 
-from cclab.continual import RunConfig, population_bound_check, probe_run, run_sequence
+from cclab.bounds import population_bound_check
+from cclab.continual import RunConfig, probe_run, run_sequence
 from cclab.data import make_blob_sequence
 from cclab.trainer import SgdConfig
 

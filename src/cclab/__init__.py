@@ -24,7 +24,6 @@ from .bounds import (
     ScheduleState,
     compute_U,
     constants,
-    gamma,
     lemma1_slack,
     theorem1_lower,
     theorem1_upper,

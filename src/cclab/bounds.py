@@ -5,8 +5,11 @@ coefficients, and the turning-point analysis of the upper bound in the
 distillation coefficient.
 
 All closed-form constants generalize to k negative samples; k = 1
-recovers the single-negative forms. At T = 5 a theorem1_upper (lower) call
-takes 3.3 (2.5) us on a 2-core VM, was 7.7 (7.3): it walks tasks 2..T once.
+recovers the single-negative forms. This module holds the whole Theorem 1
+chain: the coefficients alpha^(T - t)/gamma_t of the upper bound (walked
+once per call, each gamma formed inline), the lower bound, the scheduler's
+U_t as the upper bound's coefficients times the losses, and the exact
+certificate of a trained sequence.
 """
 
 from __future__ import annotations
@@ -18,8 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MASS_TOL, MixtureWeights, TaskDistribution, normalize_rows
-from .losses import _BLOCK, _population_terms, _stacked_terms
+from .core import MASS_TOL, MixtureWeights, TaskDistribution, mixture, normalize_rows
+from .losses import (
+    _BLOCK,
+    _population_terms,
+    _rows,
+    _stacked_contrastive,
+    _stacked_terms,
+    _task_rows,
+    population_distillation,
+)
 
 E2 = math.exp(2.0)
 
@@ -51,13 +62,6 @@ def constants(k: int = 1) -> BoundConstants:
     return BoundConstants(k=k, alpha=alpha, beta=beta, beta_prime=beta_prime)
 
 
-def main_text_beta_prime() -> float:
-    """Single-negative form -alpha*log(1+e^2) - alpha; equals the general
-    formula at k = 1 because 2e^2/(1+e^2) = alpha there."""
-    alpha = 2.0 * E2 / (1.0 + E2)
-    return -alpha * math.log1p(E2) - alpha
-
-
 def lemma1_slack(
     emb_t: np.ndarray, emb_prev: np.ndarray, dist: TaskDistribution, k: int = 1,
     *, alpha_corruption: float = 0.0,
@@ -73,21 +77,6 @@ def lemma1_slack(
     """
     l_t, l_prev, l_dis, _ = _population_terms(emb_t, dist, k, emb_prev)
     return constants(k).slacks(l_t, l_prev, l_dis, alpha_corruption)
-
-
-def gamma(t: int, lam: float, weights: MixtureWeights) -> tuple[float, float]:
-    """The training-loss coefficient denominators at task t:
-    (gamma, gamma') = (min({1/t} u {lam * k_tj}), max({1} u {lam * k_tj})).
-
-    For lam >= 0 rounding is monotone, so lam times the smallest (largest)
-    weight is the smallest (largest) rounded product."""
-    if t != weights.task_index:
-        raise ValueError("weights belong to a different task index")
-    if lam < 0:
-        raise ValueError("distillation coefficient must be non-negative")
-    g = min(1.0 / t, float(lam * weights.lo))
-    gp = max(1.0, float(lam * weights.hi))
-    return g, gp
 
 
 def analytic_min_contrastive(k: int = 1) -> float:
@@ -122,6 +111,14 @@ def _theorem1_inputs(train_losses, weights: list[MixtureWeights], lam, k: int):
     if len(lams) != T - 1:
         raise ValueError(f"need one coefficient per task 2..{T}, got {len(lams)}")
     return losses, lams, *_theorem1_constants(k, T)
+
+
+def _task_fault(t: int, w: MixtureWeights):
+    """Raise the fault of task t's inputs: weights of another task before a
+    coefficient that is negative or NaN."""
+    if t != w.task_index:
+        raise ValueError("weights belong to a different task index")
+    raise ValueError("distillation coefficient must be non-negative")
 
 
 @dataclass
@@ -172,9 +169,9 @@ def theorem1_upper(
     value = powers[0] * losses[0]
     for i, w in enumerate(weights):
         t, lam_t, p = i + 2, lams[i], powers[i + 1]
-        if t != w.task_index or lam_t < 0:
-            gamma(t, lam_t, w)  # raises the fault as gamma reports it
-        g = lam_t * w.lo  # gamma's min(1/t, lam*lo), which keeps 1/t unless lam*lo < 1/t
+        if t != w.task_index or not lam_t >= 0:
+            _task_fault(t, w)
+        g = lam_t * w.lo  # gamma_t = min(1/t, lam*lo), which keeps 1/t unless lam*lo < 1/t
         if not g < 1.0 / t:
             g = 1.0 / t
         if g <= 0:
@@ -204,9 +201,9 @@ def theorem1_lower(
     value = powers[0] * losses[0]
     for i, w in enumerate(weights):
         t, lam_t, p = i + 2, lams[i], powers[i + 1]
-        if t != w.task_index or lam_t < 0:
-            gamma(t, lam_t, w)
-        gp = lam_t * w.hi  # gamma's max(1, lam*hi)
+        if t != w.task_index or not lam_t >= 0:
+            _task_fault(t, w)
+        gp = lam_t * w.hi  # gamma'_t = max(1, lam*hi)
         if not gp > 1.0:
             gp = 1.0
         gammas.append(gp)
@@ -225,21 +222,64 @@ def compute_U(
     """Weighted partial sum of training losses for the threshold scheduler.
 
     ``train_losses`` covers tasks 2..t, ``weights`` likewise; the current
-    coefficient ``lam_t`` enters every denominator.
+    coefficient ``lam_t`` enters every denominator. The weights are the
+    upper bound's coefficients alpha^(t - j)/gamma_j over tasks j = 2..t.
     """
     losses = [float(x) for x in train_losses]
     if len(losses) != len(weights) or not losses:
         raise ValueError("need one training loss per task 2..t")
-    c = constants(k)
-    t = weights[-1].task_index
+    coeffs = theorem1_upper([0.0, *losses], weights, lam_t, k).coefficients[1:]
     total = 0.0
-    for loss, w in zip(losses, weights):
-        j = w.task_index
-        g, _ = gamma(j, lam_t, w)
-        if g <= 0:
-            raise ValueError(f"task {j}: zero denominator at coefficient {lam_t}")
-        total += c.alpha ** (t - j) / g * loss
+    for coeff, loss in zip(coeffs, losses):
+        total += coeff * loss
     return total
+
+
+def population_bound_check(
+    task_embeddings: list[np.ndarray],
+    task_dists: list[TaskDistribution],
+    lambdas: list[float],
+    k: int = 1,
+    weights: list[MixtureWeights] | None = None,
+):
+    """Exact-population bound sandwich for a trained model sequence.
+
+    ``task_embeddings[t - 1]`` is task t's model's unit rows on the tasks'
+    supports concatenated in order, e.g. ``enc.snapshot`` of them: D_t is
+    its own block, and the seen-data mixture of tasks before t the leading
+    rows, as ``core.mixture`` concatenates. Computes each task's population
+    training loss (contrastive on the task, distillation on the seen-data
+    mixture), the realized test loss of the final model, and both bounds.
+    ``lambdas`` covers tasks 2..T; ``weights`` defaults to uniform.
+
+    Returns (upper report, lower report, realized test loss).
+    """
+    T = len(task_embeddings)
+    if T != len(task_dists) or T < 2:
+        raise ValueError("need matching model/distribution sequences, T >= 2")
+    if len(lambdas) != T - 1:
+        raise ValueError("need one distillation coefficient per task 2..T")
+    if weights is None:
+        weights = [
+            MixtureWeights(task_index=t, weights=np.full(t - 1, 1.0 / (t - 1)))
+            for t in range(2, T + 1)
+        ]
+    embs = [_rows(emb, sum(d.size for d in task_dists)) for emb in task_embeddings]
+    blocks = [_task_rows(emb, task_dists) for emb in embs]
+    # one pass over (f_t, D_t) for every t and (f_T, D_t) for t < T
+    con = _stacked_contrastive([*(b[t] for t, b in enumerate(blocks)), *blocks[-1][:-1]],
+                               [*task_dists, *task_dists[:-1]], k)
+    train_losses, realized = con[:T], float(sum(con[T:] + con[T - 1 : T]))
+    for i, t in enumerate(range(2, T + 1)):
+        past = mixture(task_dists[: t - 1], weights[i])
+        seen = past.size  # the leading rows: tasks 1..t-1
+        l_dis = population_distillation(embs[t - 1][:seen], embs[t - 2][:seen], past, k)
+        train_losses[t - 1] += lambdas[i] * l_dis
+    upper = theorem1_upper(train_losses, weights, lambdas, k=k)
+    lower = theorem1_lower(train_losses, weights, lambdas, k=k)
+    upper.realized_test_loss = realized
+    lower.realized_test_loss = realized
+    return upper, lower, realized
 
 
 @dataclass(frozen=True)

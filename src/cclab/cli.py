@@ -307,14 +307,22 @@ BOUNDS_DEFAULTS = {
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """The lambda grid of a start:stop:count spec with finite ends and a
+    count in 0..MAX_TABLE_ENTRIES, checked before it is built."""
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}, want start:stop:count") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid ends must be finite, got {spec!r}")
+    if not 0 <= count <= MAX_TABLE_ENTRIES:
+        raise ConfigError(f"grid count must lie in 0..{MAX_TABLE_ENTRIES}, got {count}")
+    return np.linspace(start, stop, count)
 
 
 def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
+    grid = _parse_grid(grid_spec)
     try:
         spec = ScenarioSpec(
             T=cfg["T"], weight_rule=cfg["scenario"], rho=cfg["rho"],
@@ -328,16 +336,14 @@ def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lam_star = turning_point(weights)
-    grid = _parse_grid(grid_spec)
     rows = ["lambda,upper,lower"]
     uppers = []
     for lam in grid:
         try:
             up = theorem1_upper(losses, weights, lam, k=cfg["k"]).value
             lo = theorem1_lower(losses, weights, lam, k=cfg["k"]).value
-        except ValueError:
-            print(f"warning: skipping grid point {lam} (zero denominator)",
-                  file=sys.stderr)
+        except ValueError as exc:
+            print(f"warning: skipping grid point {lam}: {exc}", file=sys.stderr)
             continue
         uppers.append(up)
         rows.append(f"{float(lam)!r},{float(up)!r},{float(lo)!r}")

@@ -49,12 +49,12 @@ class Encoder:
     """Fully connected encoder mapping inputs to the unit sphere.
 
     ``dims`` lists layer widths input-first, e.g. (2, 32, 8). Hidden
-    layers use tanh or relu; the output layer is linear followed by row
+    layers use tanh; the output layer is linear followed by row
     normalization, so forward output is always unit-norm.
     """
 
-    def __init__(self, dims, activation: str = "tanh", seed: int = 0):
-        self._allocate(dims, activation)
+    def __init__(self, dims, seed: int = 0):
+        self._allocate(dims)
         rng = np.random.default_rng(seed)
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
@@ -62,23 +62,20 @@ class Encoder:
             b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     @classmethod
-    def _from_params(cls, dims, activation: str, params: np.ndarray) -> "Encoder":
+    def _from_params(cls, dims, params: np.ndarray) -> "Encoder":
         """An encoder holding a copy of ``params``, built without the random draw."""
         enc = cls.__new__(cls)
-        enc._allocate(dims, activation)
+        enc._allocate(dims)
         enc.params[...] = params
         return enc
 
-    def _allocate(self, dims, activation: str) -> None:
+    def _allocate(self, dims) -> None:
         dims = tuple(int(d) for d in dims)
         if len(dims) < 2:
             raise ValueError("need at least an input and an output width")
         if min(dims) < 1:
             raise ValueError(f"every layer width must be >= 1, got {list(dims)}")
-        if activation not in ("tanh", "relu"):
-            raise ValueError(f"unknown activation {activation!r}")
         self.dims = dims
-        self.activation = activation
         self.dim = dims[-1]
         # the flat parameter vector; only ever updated in place, so the
         # per-layer views below stay valid
@@ -120,13 +117,9 @@ class Encoder:
         return self.params.size
 
     def copy(self) -> "Encoder":
-        return Encoder._from_params(self.dims, self.activation, self.params)
+        return Encoder._from_params(self.dims, self.params)
 
     # -- forward ----------------------------------------------------------
-
-    def _act_grad(self, a: np.ndarray) -> np.ndarray:
-        # derivative expressed through the activation output
-        return 1.0 - a**2 if self.activation == "tanh" else (a > 0).astype(np.float64)
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """Unit-norm embeddings of (n, d_in) points."""
@@ -143,7 +136,7 @@ class Encoder:
                 f"input dimension {x.shape[1]} does not match encoder ({self.dims[0]})"
             )
         if frozen is not None:
-            if (frozen.dims, frozen.activation) != (self.dims, self.activation):
+            if frozen.dims != self.dims:
                 raise ValueError("the frozen encoder must share the live one's architecture")
             np.concatenate((self.params, frozen.params), out=self._pair.reshape(-1))
         weights, biases = self._stacks[frozen is not None]
@@ -153,7 +146,7 @@ class Encoder:
             h = h @ w
             h += b[:, None]
             if len(acts) < len(weights):
-                np.tanh(h, out=h) if self.activation == "tanh" else np.maximum(h, 0.0, out=h)
+                np.tanh(h, out=h)
                 acts.append(h)
         norms = np.sqrt(np.add.reduce(h * h, axis=-1, keepdims=True))
         small = norms < NORM_TOL if norms.min() < NORM_TOL else None
@@ -185,7 +178,7 @@ class Encoder:
             np.matmul(a.T, delta, out=grads_w[layer])
             np.add.reduce(delta, axis=0, out=grads_b[layer])
             if layer:
-                delta = (delta @ self.weights[layer].T) * self._act_grad(a)
+                delta = (delta @ self.weights[layer].T) * (1.0 - a**2)  # tanh' from its output
         return self._grad
 
 
@@ -296,7 +289,7 @@ def save_checkpoint(
         "task": task,
         "lambda": lam,
         "temperatures": asdict(temps or Temperatures()),
-        "activation": enc.activation,
+        "activation": "tanh",
     }
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2)
@@ -308,8 +301,9 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
 
     A file that is not exactly magic, layer count, dims of width >= 1 and
     the finite f64 parameters those dims call for, or whose sidecar
-    disagrees with it, raises ValueError; nothing is allocated from the
-    header before the file length confirms it.
+    disagrees with it or names an activation other than tanh, raises
+    ValueError; nothing is allocated from the header before the file length
+    confirms it.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -333,7 +327,9 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, dict]:
         manifest.get("version"), manifest.get("dims")
     ) != (CHECKPOINT_VERSION, list(dims)):
         raise ValueError("checkpoint sidecar disagrees with the binary's version or dims")
+    if manifest.get("activation", "tanh") != "tanh":
+        raise ValueError(f"checkpoint activation {manifest['activation']!r} is not tanh")
     params = np.frombuffer(blob, dtype="<f8", offset=offset)
     if not np.isfinite(params).all():  # training aborts before a non-finite step
         raise ValueError("checkpoint holds non-finite parameters")
-    return Encoder._from_params(dims, manifest.get("activation", "tanh"), params), manifest
+    return Encoder._from_params(dims, params), manifest

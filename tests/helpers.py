@@ -13,9 +13,9 @@ import numpy as np
 
 from cclab.bounds import (
     BoundReport,
+    E2,
     analytic_min_contrastive,
     constants,
-    gamma,
     random_distribution,
 )
 from cclab.continual import (
@@ -314,10 +314,12 @@ def stacked_terms_reference(emb_t, labels, mass, k, emb_prev=None):
 
 
 def gamma_reference(t, lam, weights):
-    """bounds.gamma with numpy's min and max over the scaled weights."""
+    """Theorem 1's denominators at task t, (gamma_t, gamma'_t) =
+    (min({1/t} u {lam * k_tj}), max({1} u {lam * k_tj})), with numpy's min
+    and max over the scaled weights. A NaN coefficient is no coefficient."""
     if t != weights.task_index:
         raise ValueError("weights belong to a different task index")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("distillation coefficient must be non-negative")
     scaled = lam * weights.weights
     return min(1.0 / t, float(scaled.min())), max(1.0, float(scaled.max()))
@@ -416,7 +418,7 @@ def _theorem1_upper_reference(train_losses, weights, lam, k=1, minf=None,
     eta = c.beta * _eta_factor(c.alpha, T)
     value = coeffs[0] * losses[0]
     for i, t in enumerate(range(2, T + 1)):
-        g, _ = gamma(t, lams[i], weights[i])
+        g, _ = gamma_reference(t, lams[i], weights[i])
         if g <= 0:
             raise ValueError(
                 f"task {t}: coefficient {lams[i]} gives a zero denominator"
@@ -445,7 +447,7 @@ def _theorem1_lower_reference(train_losses, weights, lam, k=1):
     eta = c.beta_prime * _eta_factor(c.alpha, T)
     value = coeffs[0] * losses[0]
     for i, t in enumerate(range(2, T + 1)):
-        _, gp = gamma(t, lams[i], weights[i])
+        _, gp = gamma_reference(t, lams[i], weights[i])
         gammas.append(gp)
         w = c.alpha ** (T - t) / gp
         coeffs.append(w)
@@ -460,8 +462,33 @@ def _theorem1_lower_reference(train_losses, weights, lam, k=1):
 theorem1_reference = {"upper": _theorem1_upper_reference, "lower": _theorem1_lower_reference}
 
 
+def compute_U_reference(train_losses, weights, lam_t, k=1):
+    """bounds.compute_U as it walked the alpha powers and gammas itself,
+    before it read the upper bound's coefficients."""
+    losses = [float(x) for x in train_losses]
+    if len(losses) != len(weights) or not losses:
+        raise ValueError("need one training loss per task 2..t")
+    c = constants(k)
+    t = weights[-1].task_index
+    total = 0.0
+    for loss, w in zip(losses, weights):
+        j = w.task_index
+        g, _ = gamma_reference(j, lam_t, w)
+        if g <= 0:
+            raise ValueError(f"task {j}: zero denominator at coefficient {lam_t}")
+        total += c.alpha ** (t - j) / g * loss
+    return total
+
+
+def single_negative_beta_prime():
+    """The main text's k = 1 form of beta', -alpha*log(1+e^2) - alpha; the
+    general formula's last term 2k e^2/(1+k e^2) is alpha at k = 1."""
+    alpha = 2.0 * E2 / (1.0 + E2)
+    return -alpha * math.log1p(E2) - alpha
+
+
 def population_bound_check_reference(task_models, task_dists, lambdas, k=1, weights=None):
-    """continual.population_bound_check on table models, such as
+    """bounds.population_bound_check on table models, such as
     DictTableModel, as one full _population_terms pass per loss: each
     task's contrastive loss, each distillation loss and each term of the
     realized test loss on its own, each model embedding the pass's support
@@ -556,7 +583,7 @@ def _forward_reference(enc, points):
     acts = [points]
     h = points
     for w, b in zip(enc.weights[:-1], enc.biases[:-1]):
-        h = np.tanh(h @ w + b) if enc.activation == "tanh" else np.maximum(h @ w + b, 0.0)
+        h = np.tanh(h @ w + b)
         acts.append(h)
     raw = h @ enc.weights[-1] + enc.biases[-1]
     return normalize_rows(raw), acts, raw
@@ -585,8 +612,7 @@ def grad_total_reference(enc_t, enc_prev, points, labels, lam, temps, divide=Tru
         grads_b[layer][...] = delta.sum(axis=0)
         if layer:
             a = acts[layer]
-            da = 1.0 - a**2 if enc_t.activation == "tanh" else (a > 0).astype(np.float64)
-            delta = (delta @ enc_t.weights[layer].T) * da
+            delta = (delta @ enc_t.weights[layer].T) * (1.0 - a**2)
     scale = 1.0 / n if divide else 1.0
     return l_con * scale, l_dis * scale, grad * scale
 

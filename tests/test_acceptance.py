@@ -15,7 +15,7 @@ from cclab.bounds import (
     constants,
     decomposition_check_trials,
     lemma1_trials,
-    main_text_beta_prime,
+    population_bound_check,
     ScheduleState,
     theorem1_upper,
     theorem2_step,
@@ -24,7 +24,6 @@ from cclab.bounds import (
 from cclab.continual import (
     RunConfig,
     linear_probe,
-    population_bound_check,
     probe_run,
     run_sequence,
 )
@@ -37,7 +36,7 @@ from cclab.data import (
 )
 from cclab.losses import batch_terms
 from cclab.trainer import Encoder, SgdConfig, Temperatures, finite_diff_check, save_checkpoint
-from tests.helpers import oracle_ird, oracle_supcon
+from tests.helpers import oracle_ird, oracle_supcon, single_negative_beta_prime
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
@@ -73,7 +72,7 @@ def test_criterion_03_closed_form_constants():
     assert c.beta == pytest.approx(0.0148102015638460, abs=1e-12)
     assert c.beta_prime == pytest.approx(-5.5083781103476838, abs=1e-12)
     # the general k-negative form at k=1 agrees with the single-negative form
-    assert abs(constants(1).beta_prime - main_text_beta_prime()) < 1e-12
+    assert abs(constants(1).beta_prime - single_negative_beta_prime()) < 1e-12
 
 
 def test_criterion_04_trained_sequence_sandwich():

@@ -16,10 +16,8 @@ from cclab.bounds import (
     compute_U,
     constants,
     decomposition_check_trials,
-    gamma,
     lemma1_slack,
     lemma1_trials,
-    main_text_beta_prime,
     random_distribution,
     ScheduleState,
     theorem1_lower,
@@ -30,9 +28,11 @@ from cclab.bounds import (
 from cclab.core import MixtureWeights
 from cclab.losses import _stacked_terms, population_contrastive
 from tests.helpers import (
+    compute_U_reference,
     gamma_reference,
     random_distribution_reference,
     random_embedding,
+    single_negative_beta_prime,
     theorem1_reference,
     trial_terms_reference,
 )
@@ -67,7 +67,7 @@ class TestConstants:
         assert c.beta_prime == pytest.approx(-5.5083781103476838, abs=1e-12)
 
     def test_single_negative_form_agrees(self):
-        assert main_text_beta_prime() == pytest.approx(
+        assert single_negative_beta_prime() == pytest.approx(
             constants(1).beta_prime, abs=1e-12
         )
 
@@ -83,26 +83,47 @@ class TestConstants:
             constants(0)
 
 
+def gammas(weights, lam, k=1):
+    """The (upper gamma_t, lower gamma'_t) lists of the Theorem 1 reports."""
+    losses = [1.0] * (len(weights) + 1)
+    return (theorem1_upper(losses, weights, lam, k).gammas,
+            theorem1_lower(losses, weights, lam, k).gammas)
+
+
 class TestGamma:
+    """The denominators as the Theorem 1 evaluators form and report them."""
+
+    W2 = MixtureWeights(task_index=2, weights=np.array([1.0]))
+
     def test_min_and_max_forms(self):
         w = MixtureWeights(task_index=3, weights=np.array([0.25, 0.75]))
-        g, gp = gamma(3, 2.0, w)
+        (_, g), (_, gp) = gammas([self.W2, w], 2.0)
         # scaled weights are (0.5, 1.5); min(1/3, 0.5) and max(1, 1.5)
         assert g == pytest.approx(1.0 / 3.0)
         assert gp == pytest.approx(1.5)
-        g_small, gp_small = gamma(3, 0.1, w)
+        (_, g_small), (_, gp_small) = gammas([self.W2, w], 0.1)
         assert g_small == pytest.approx(0.025)
         assert gp_small == pytest.approx(1.0)
 
     def test_task_index_checked(self):
         w = MixtureWeights(task_index=3, weights=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            gamma(4, 1.0, w)
+        for evaluate in (theorem1_upper, theorem1_lower):
+            with pytest.raises(ValueError, match="different task index"):
+                evaluate([1.0, 1.0], [w], 1.0)
+        with pytest.raises(ValueError, match="different task index"):
+            compute_U([1.0], [w], 1.0)  # U_t sums tasks 2..t, so its first weights are task 2's
 
     def test_negative_lambda_rejected(self):
-        w = MixtureWeights(task_index=2, weights=np.array([1.0]))
-        with pytest.raises(ValueError):
-            gamma(2, -1.0, w)
+        # NaN is no coefficient either: it would take gamma = 1/t in the
+        # upper bound and gamma' = 1 in the lower one
+        weights, losses = uniform_weights(4), [1.0, 1.2, 0.9, 1.1]
+        for lam in (-1.0, math.nan, np.float64(math.nan), [1.0, math.nan, 1.0]):
+            for evaluate in (theorem1_upper, theorem1_lower):
+                with pytest.raises(ValueError, match="non-negative"):
+                    evaluate(losses, weights, lam)
+            if np.isscalar(lam):
+                with pytest.raises(ValueError, match="non-negative"):
+                    compute_U(losses[1:], weights, lam)
 
 
 def random_weights(rng, T):
@@ -115,9 +136,9 @@ def random_weights(rng, T):
 
 
 class TestEvaluatorsMatchNumpyReference:
-    """gamma's cached weight extremes and the cached constants give the
-    same floats as numpy min/max over the scaled weights and constants
-    recomputed per call."""
+    """The cached weight extremes and constants give the same floats as
+    numpy min/max over the scaled weights and constants recomputed per
+    call, and compute_U the floats of its own walk over the tasks."""
 
     GRID = np.linspace(0.01, 20.0, 400)
 
@@ -128,9 +149,12 @@ class TestEvaluatorsMatchNumpyReference:
 
     def test_gamma(self):
         rng = np.random.default_rng(11)
-        for w in random_weights(rng, 6):
-            for lam in [0.0, *self.GRID, *rng.uniform(0, 50, 20)]:
-                assert gamma(w.task_index, lam, w) == gamma_reference(w.task_index, lam, w)
+        weights, losses = random_weights(rng, 6), [1.0] * 6
+        for lam in [0.0, *self.GRID, *rng.uniform(0, 50, 20)]:
+            want = [gamma_reference(w.task_index, lam, w) for w in weights]
+            if lam > 0:  # gamma_t = 0 at lam = 0: the upper bound has no value there
+                assert theorem1_upper(losses, weights, lam).gammas == [g for g, _ in want]
+            assert theorem1_lower(losses, weights, lam).gammas == [gp for _, gp in want]
 
     def test_bounds_and_compute_u(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -142,22 +166,22 @@ class TestEvaluatorsMatchNumpyReference:
             for k in (1, 2):
                 cases.extend((weights, losses, lam, k) for lam in lams)
 
-        def evaluate():
+        def evaluate(upper, lower, U):
             out = []
             for weights, losses, lam, k in cases:
-                up = theorem1_upper(losses, weights, lam, k=k)
-                lo = theorem1_lower(losses, weights, lam, k=k)
-                u = compute_U(losses[1:], weights, lam if np.isscalar(lam) else lam[-1], k=k)
+                up = upper(losses, weights, lam, k=k)
+                lo = lower(losses, weights, lam, k=k)
+                u = U(losses[1:], weights, lam if np.isscalar(lam) else lam[-1], k=k)
                 out.append((up.value, up.gammas, up.coefficients, up.eta,
-                            lo.value, lo.gammas, lo.coefficients, lo.eta, u))
-            lo0 = [theorem1_lower(losses, weights, 0.0, k=k).value
-                   for weights, losses, _, k in cases]
+                            lo.value, lo.gammas, lo.coefficients, lo.eta, u.hex()))
+            lo0 = [lower(losses, weights, 0.0, k=k).value for weights, losses, _, k in cases]
             return out, lo0
 
-        got = evaluate()
-        monkeypatch.setattr(bounds, "gamma", gamma_reference)
+        got = evaluate(theorem1_upper, theorem1_lower, compute_U)
         monkeypatch.setattr(bounds, "constants", constants.__wrapped__)
-        assert got == evaluate()
+        monkeypatch.setattr(bounds, "_theorem1_constants", bounds._theorem1_constants.__wrapped__)
+        assert got == evaluate(theorem1_upper, theorem1_lower, compute_U)
+        assert got == evaluate(*theorem1_reference.values(), compute_U_reference)
 
 
 class TestLemma1:

@@ -171,6 +171,33 @@ class TestConfigHandling:
         code = main(["bounds", "--out", str(tmp_path / "o"), "--grid", "oops"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", [
+        "0.01:20:8796093022208",  # 2^43 points, refused before any is allocated
+        "0.01:20:67108865",  # one above the cap
+        "0.01:20:-1",
+        "0.01:nan:5",
+        "nan:20:5",
+        "0.01:inf:5",
+        "-inf:1:3",
+    ])
+    def test_grid_out_of_range_is_config_error(self, tmp_path, capsys, grid):
+        code = main(["bounds", "--out", str(tmp_path / "o"), f"--grid={grid}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert err.startswith("configuration error: grid ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "bounds.csv").exists()
+
+    def test_skipped_grid_points_give_the_evaluators_reason(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["bounds", "--out", str(out), "--grid=-1:1:3"]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: skipping grid point -1.0: distillation coefficient must be non-negative",
+            "warning: skipping grid point 0.0: task 2: coefficient 0.0 gives a zero denominator",
+        ]
+        assert (out / "bounds.csv").read_text().splitlines()[1:] == [
+            "1.0,39.56941847216606,-94.48221522960866"]
+
     @pytest.mark.parametrize("command, doc", [
         ("bounds", {"T": 1}),
         ("bounds", {"k": 0}),
@@ -343,6 +370,24 @@ class TestTrain:
         main(["train", "--config", cfg, "--out", str(b), "--seed", "2"])
         assert (a / "trace.json").read_bytes() != (b / "trace.json").read_bytes()
 
+    # one point per class and no replay: every batch is one point's two views,
+    # so SupCon is exactly 0 and task 3's coefficient ratio has no denominator
+    DEGENERATE = {"tasks": 3, "classes_per_task": 1, "points_per_class": 2, "buffer_size": 0,
+                  "mode": "max", "epochs": 2, "probe_epochs": 1}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", {}),
+        ("sweep", {"values": ["max"], "seeds": [0]}),  # one cell, on the process pool
+    ], ids=["train", "sweep"])
+    def test_degenerate_training_is_config_error(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, "d.json", dict(self.DEGENERATE, **extra))
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert err == ("configuration error: degenerate training: "
+                       "accumulated contrastive loss is zero\n")
+
 
 class TestProbe:
     def test_runs_and_reports(self, tmp_path):
@@ -357,7 +402,7 @@ class TestProbe:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "trailing-bytes", "bad-magic", "non-json-sidecar", "zero-width",
-        "nan-params",
+        "nan-params", "relu-activation",
     ])
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "model.ckpt"
@@ -376,6 +421,9 @@ class TestProbe:
             (tmp_path / "model.ckpt.json").write_text(json.dumps(dict(sidecar, dims=list(dims))))
         elif damage == "nan-params":  # every parameter's bits set: a NaN
             ckpt.write_bytes(blob[:20] + b"\xff" * (len(blob) - 20))
+        elif damage == "relu-activation":  # the encoder is tanh-only
+            sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+            (tmp_path / "model.ckpt.json").write_text(json.dumps(dict(sidecar, activation="relu")))
         else:
             (tmp_path / "model.ckpt.json").write_text("{not json")
         cfg = write_config(tmp_path, "p.json", dict(SMALL_TRAIN, checkpoint=str(ckpt)))
@@ -385,6 +433,8 @@ class TestProbe:
         assert code == EXIT_IO
         assert "Traceback" not in err
         assert err.startswith("I/O error: corrupt checkpoint ") and err.count("\n") == 1
+        if damage == "relu-activation":
+            assert err.endswith(": checkpoint activation 'relu' is not tanh\n")
 
     def test_probe_from_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", SMALL_TRAIN)

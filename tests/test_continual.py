@@ -14,11 +14,11 @@ from cclab.continual import (
     augment,
     class_balanced_batches,
     linear_probe,
-    population_bound_check,
     probe_run,
     run_sequence,
 )
 from cclab import continual, losses
+from cclab.bounds import population_bound_check
 from cclab.core import MixtureWeights, TaskDistribution, normalize_rows
 from cclab.data import make_blob_sequence
 from cclab.losses import population_test_loss

@@ -64,8 +64,7 @@ class TestEncoder:
         clone.weights[0][:] = 0.0
         assert not np.array_equal(enc.weights[0], clone.weights[0])
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_seeded_initialisation_stream(self, activation):
+    def test_seeded_initialisation_stream(self):
         dims = (3, 7, 5, 4)
         rng = np.random.default_rng(12)
         want = []
@@ -73,11 +72,11 @@ class TestEncoder:
             bound = 1.0 / np.sqrt(fan_in)
             want.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel())
             want.append(rng.uniform(-bound, bound, size=fan_out))
-        enc = Encoder(dims, activation, 12)
+        enc = Encoder(dims, 12)
         assert enc.params.tobytes() == np.concatenate(want).tobytes()
 
     def test_copy_and_load_skip_the_random_draw(self, tmp_path, monkeypatch):
-        enc = Encoder((3, 6, 4), activation="relu", seed=4)
+        enc = Encoder((3, 6, 4), seed=4)
         enc.params[::3] = -0.0
         enc.params[1] = 5e-324
         save_checkpoint(enc, tmp_path / "m.ckpt")
@@ -89,7 +88,7 @@ class TestEncoder:
         clone, (loaded, _) = enc.copy(), load_checkpoint(tmp_path / "m.ckpt")
         for other in (clone, loaded):
             assert other.params.tobytes() == enc.params.tobytes()
-            assert (other.dims, other.activation) == (enc.dims, enc.activation)
+            assert other.dims == enc.dims
             for arr in other.weights + other.biases:
                 assert np.shares_memory(arr, other.params)
         assert not np.shares_memory(clone.params, enc.params)
@@ -98,13 +97,6 @@ class TestEncoder:
     def test_input_dimension_checked(self):
         with pytest.raises(ValueError):
             Encoder((2, 4, 3)).forward(np.zeros((1, 5)))
-
-    def test_relu_variant(self):
-        enc = Encoder((2, 4, 3), activation="relu", seed=0)
-        z = enc.forward(np.ones((2, 2)))
-        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0)
-        with pytest.raises(ValueError):
-            Encoder((2, 4, 3), activation="sigmoid")
 
     @pytest.mark.parametrize("dims", [(2, 0, 4), (2, 16, 0), (0, 4), (2, -3, 4)])
     def test_zero_width_rejected(self, dims):
@@ -177,14 +169,13 @@ class TestGradients:
         assert l_dis == pytest.approx(e_dis / points.shape[0], abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 4), (2, 8, 4), (3, 6, 5, 4), (2, 5, 5, 5, 3)])
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_any_depth_matches_reference_step(self, dims, activation):
+    def test_any_depth_matches_reference_step(self, dims):
         # the stacked forward and flat-buffer backward against one forward
         # per encoder and a per-layer backward, with and without past rows
         rng = np.random.default_rng(len(dims))
         points, labels = small_batch(rng, d_in=dims[0])
-        enc = Encoder(dims, activation, seed=1)
-        prev = Encoder(dims, activation, seed=2)
+        enc = Encoder(dims, seed=1)
+        prev = Encoder(dims, seed=2)
         for past, lam in ((None, 0.0), (prev, 0.0), (prev, 0.7)):
             got = grad_total(enc, past, points, labels, lam, Temperatures())
             want = grad_total_reference(enc, past, points, labels, lam, Temperatures())
@@ -196,7 +187,7 @@ class TestGradients:
     def test_frozen_encoder_shares_the_architecture(self):
         points, labels = small_batch(np.random.default_rng(6))
         enc = Encoder((2, 8, 4), seed=0)
-        for prev in (Encoder((2, 6, 4), seed=1), Encoder((2, 8, 4), "relu", seed=1)):
+        for prev in (Encoder((2, 6, 4), seed=1), Encoder((2, 8, 5), seed=1)):
             with pytest.raises(ValueError):
                 grad_total(enc, prev, points, labels, 1.0, Temperatures())
 
