@@ -1,5 +1,5 @@
 """Writes tests/golden.json: the outputs that the Theorem 1 chain and the
-training driver produce at small configs, with the numpy version and
+training loop produce at small configs, with the numpy version and
 machine that wrote them. ``tests/test_golden.py`` recomputes the same
 outputs with ``outputs()`` and compares them with the file.
 
