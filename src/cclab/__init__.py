@@ -11,7 +11,6 @@ from .core import (
     normalize_rows,
 )
 from .losses import (
-    batch_terms,
     decomposition_residual,
     logistic_link,
     population_contrastive,

@@ -149,7 +149,6 @@ def theorem1_upper(
     lam,
     k: int = 1,
     minf=None,
-    minf_mode: str = "analytic",
 ) -> BoundReport:
     """Upper bound on the final model's test loss from the training losses.
 
@@ -159,10 +158,12 @@ def theorem1_upper(
     ``minf`` optionally supplies per-task best-achievable-loss values for
     tasks 2..T; by default each is analytic_min_contrastive(k). Their
     weight p * (1 - 1/gamma) is non-positive, so a value below the true
-    minimum keeps the bound valid and one above it does not.
+    minimum keeps the bound valid and one above it does not. The report's
+    ``minf_mode`` is "given" for supplied values and "analytic" otherwise.
     """
     losses, lams, c, powers, eta_factor = _theorem1_inputs(train_losses, weights, lam, k)
     T = len(losses)
+    minf_mode = "analytic" if minf is None else "given"
     minf = [analytic_min_contrastive(k)] * (T - 1) if minf is None else [float(x) for x in minf]
     gammas, coeffs = [], [powers[0]]
     eta = c.beta * eta_factor

@@ -2,9 +2,12 @@
 probing, bound sweeps over the distillation coefficient, and hyperparameter
 sweeps.
 
-Exit codes: 0 success, 1 property violation, 2 configuration error,
-3 I/O error. Every command writes a manifest sufficient to reproduce it.
-JSON in, JSON/CSV out; plotting is downstream of the CSVs.
+Every command takes one JSON config (``--config``) and an output
+directory (``--out``), and nothing else; ``bounds`` reads its lambda grid
+from the config key ``grid``, a ``start:stop:count`` spec. Exit codes: 0
+success, 1 property violation, 2 configuration error, 3 I/O error. Every
+command writes a manifest sufficient to reproduce it. JSON in, JSON/CSV
+out; plotting is downstream of the CSVs.
 """
 
 from __future__ import annotations
@@ -303,6 +306,7 @@ BOUNDS_DEFAULTS = {
     "base_loss": 1.0,
     "loss_rule": "equal",
     "k": 1,
+    "grid": "0.01:20:400",  # the lambda grid, start:stop:count
 }
 
 
@@ -321,8 +325,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
-    grid = _parse_grid(grid_spec)
+def cmd_bounds(cfg: dict, out: Path) -> int:
+    grid = _parse_grid(cfg["grid"])
     try:
         spec = ScenarioSpec(
             T=cfg["T"], weight_rule=cfg["scenario"], rho=cfg["rho"],
@@ -359,7 +363,9 @@ def cmd_bounds(cfg: dict, out: Path, grid_spec: str) -> int:
     return EXIT_OK
 
 
-SWEEP_DEFAULTS = dict(RUN_DEFAULTS, vary="mode", values=["fixed", "max"], seeds=[0, 1])
+# a cell's seed is one of seeds, so a sweep has no seed key
+SWEEP_DEFAULTS = dict({k: v for k, v in RUN_DEFAULTS.items() if k != "seed"},
+                      vary="mode", values=["fixed", "max"], seeds=[0, 1])
 
 
 def _sweep_cell(cell: dict) -> float:
@@ -371,9 +377,12 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     vary, values, seeds = cfg["vary"], cfg["values"], cfg["seeds"]
     if vary not in ("lam0", "kappa", "mode"):  # the seeds list varies the seed
         raise ConfigError(f"cannot vary {vary!r}")
+    for name, entries in (("values", values), ("seeds", seeds)):  # one row per value
+        if not entries or any(a == b for i, a in enumerate(entries) for b in entries[:i]):
+            raise ConfigError(f"{name} must be non-empty and without repeats, got {entries!r}")
     base = {k: v for k, v in cfg.items() if k not in ("vary", "values", "seeds")}
     cells = [dict(base, **{vary: v, "seed": s}) for v in values for s in seeds]
-    for cell in [base] + cells:  # a bad value fails here, not in a worker
+    for cell in cells:  # a bad value fails here, not in a worker
         _check_config(cell, RUN_DEFAULTS)
         _run_from_config(cell)
     from concurrent.futures import ProcessPoolExecutor  # only sweep needs the process pool
@@ -413,41 +422,30 @@ def _sweep_cell_safe(cell: dict):
         return f"{type(exc).__name__}: {exc}"
 
 
+COMMANDS = {  # name: (config defaults, command of (config, out))
+    "verify": (VERIFY_DEFAULTS, cmd_verify),
+    "train": (RUN_DEFAULTS, cmd_train),
+    "probe": (PROBE_DEFAULTS, cmd_probe),
+    "bounds": (BOUNDS_DEFAULTS, cmd_bounds),
+    "sweep": (SWEEP_DEFAULTS, cmd_sweep),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cclab",
         description="contrastive continual learning laboratory",
     )
-    parser.add_argument("command",
-                        choices=["verify", "train", "probe", "bounds", "sweep"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--grid", default="0.01:20:400",
-                        help="lambda grid as start:stop:count (bounds)")
     args = parser.parse_args(argv)
-    defaults = {
-        "verify": VERIFY_DEFAULTS,
-        "train": RUN_DEFAULTS,
-        "probe": PROBE_DEFAULTS,
-        "bounds": BOUNDS_DEFAULTS,
-        "sweep": SWEEP_DEFAULTS,
-    }[args.command]
+    defaults, command = COMMANDS[args.command]
     try:
         cfg = _load_config(args.config, defaults)
-        if args.seed is not None and "seed" in cfg:
-            cfg["seed"] = args.seed
         out = Path(args.out)
         _write_manifest(out, args.command, cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "train":
-            return cmd_train(cfg, out)
-        if args.command == "probe":
-            return cmd_probe(cfg, out)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out, args.grid)
-        return cmd_sweep(cfg, out)
+        return command(cfg, out)
     except (ConfigError, DegenerateTraining) as exc:  # the config's values give no run
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,6 @@ operations are pure functions, so they are safe to share across threads.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -101,28 +100,6 @@ class TaskDistribution:
             raise KeyError(f"no points labeled {c}")
         p = self.mass[idx]
         return idx, p / p.sum()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "points": self.points.tolist(),
-                "labels": self.labels.tolist(),
-                "mass": self.mass.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TaskDistribution":
-        doc = json.loads(text)
-        dist = TaskDistribution(
-            points=np.asarray(doc["points"], dtype=np.float64),
-            labels=np.asarray(doc["labels"], dtype=np.int64),
-            mass=np.asarray(doc["mass"], dtype=np.float64),
-        )
-        if dist.dimension != doc["dimension"]:
-            raise ValueError("dimension field disagrees with point data")
-        return dist
 
 
 @dataclass(frozen=True)
@@ -238,7 +215,14 @@ def multiset_weights(mass: np.ndarray, rows: np.ndarray, runs: np.ndarray,
                      multiplicity: np.ndarray) -> np.ndarray:
     """The probabilities, (..., J), of J rows of :func:`negative_multisets`
     under (..., n) point masses: multiplicity[J] times one factor
-    mass[i] ** run per run of equal indices, multiplied in ascending i."""
+    mass[i] ** run per run of equal indices, multiplied in ascending i.
+
+    Each negative is drawn via its own class draw c_i ~ mu and x_i ~
+    D_{c_i}; marginalizing the class draws leaves the k negatives i.i.d.
+    with the raw point masses, so multiset J has probability
+    multiplicity[J] * prod_j mass_j^count_j, and the weights of all rows
+    sum to 1. Negatives may collide with the anchor's class or the anchor
+    itself."""
     factors = mass.take(rows.T, axis=-1)  # (..., k, J), C-ordered, as the weights come out
     np.power(factors, runs.T, out=factors)  # 1.0 where no run ends
     weights = np.multiply.reduce(factors, axis=-2)
@@ -246,35 +230,16 @@ def multiset_weights(mass: np.ndarray, rows: np.ndarray, runs: np.ndarray,
     return weights
 
 
-def negative_weights(dist: TaskDistribution, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The negative multisets of ``dist`` and their probabilities.
-
-    Each negative is drawn via its own class draw c_i ~ mu and x_i ~
-    D_{c_i}; marginalizing the class draws leaves the k negatives i.i.d.
-    with the raw point masses, so multiset J has probability
-    multiplicity[J] * prod_j mass_j^count_j. Negatives may collide with
-    the anchor's class or the anchor itself.
-    Returns (rows (M, k), weights (M,)); the weights sum to 1.
-    """
-    rows, runs, multiplicity = negative_multisets(dist.size, k)
-    return rows, multiset_weights(dist.mass, rows, runs, multiplicity)
-
-
-def positive_pairs(dist: TaskDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ordered same-class pairs (x, x+) with their joint probability.
+def stacked_positive_pairs(labels: np.ndarray, mass: np.ndarray):
+    """The ordered same-class pairs (x, x+) of B trials with their joint
+    probability, from (B, n) labels and masses, class by class: (order,
+    trial, rows, positives, weights). Row trial * n + r is the trial's r-th
+    point in class order, at flat index order[row]; pair p's anchor is row
+    rows[p], and its positive is at flat index positives[p].
 
     x and x+ are independent draws from the same class conditional, so the
     pair weight is mu(c) * D_c(x) * D_c(x+) = mass(x) * mass(x+) / mu(c).
-    Identical-point pairs are included.
-    """
-    order, _, rows, positives, weights = stacked_positive_pairs(dist.labels[None], dist.mass[None])
-    return order[rows], positives, weights
-
-
-def stacked_positive_pairs(labels: np.ndarray, mass: np.ndarray):
-    """positive_pairs of (B, n) labels and masses, class by class: (order,
-    trial, rows, positives, weights). Row trial * n + r is the trial's r-th
-    point in class order, at flat index order[row]; pair p's anchor is row rows[p]."""
+    Identical-point pairs are included."""
     B, n = labels.shape
     base = np.arange(0, B * n, n)[:, None]  # each trial's first flat index
     order = (np.argsort(labels, axis=1, kind="stable") + base).ravel()

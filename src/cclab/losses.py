@@ -142,7 +142,7 @@ def _stacked_terms(
     multiplicity times prod_j mass_j^count_j. The multisets are taken a
     block of ``_MULTISETS`` at a time, whose (n, J) counts and weights
     are formed from the cached index rows. Against each block, all trials'
-    pairs, in positive_pairs order, are walked in blocks of at most
+    pairs, in stacked_positive_pairs order, are walked in blocks of at most
     ``_BLOCK // min(M, _MULTISETS)`` that split only a longer trial, and each trial's
     segment is folded as pair_w[seg] @ values @ neg_w[trial]: a trial sums
     as in a pass on it alone, and a trial of one block as a whole-grid
@@ -330,26 +330,3 @@ def _batch_step(
     g -= w_pos
     return l_con, l_dis, g, p
 
-
-def batch_terms(
-    z: np.ndarray,
-    labels: np.ndarray,
-    temps: Temperatures,
-    z_past: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, float, np.ndarray | None]:
-    """Batch SupCon and IRD losses of unit rows ``z``, each summed over
-    anchors (no 1/2N factor), and their gradients with respect to zz':
-    (SupCon loss, its gradient, IRD loss, its gradient).
-
-    SupCon runs at ``temps.contrastive``; every anchor must have a
-    positive, which paired views guarantee. IRD is the cross-entropy from
-    the past rows' similarity softmax at ``temps.distill_past`` to the
-    current rows' at ``temps.distill_current``, with the past fixed; both
-    arrays of one shape index the same 2N samples in order. Without
-    ``z_past`` the IRD terms are (0.0, None). Computed by :func:`_batch_step`.
-    """
-    zs = np.stack((z,) if z_past is None else (z, z_past))
-    l_con, l_dis, g_con, p = _batch_step(zs, np.asarray(labels), temps)
-    if z_past is None:
-        return l_con, g_con, 0.0, None
-    return l_con, g_con, l_dis, (p[1] - p[2]) / temps.distill_current

@@ -32,7 +32,6 @@ from cclab.core import (
     TaskDistribution,
     mixture,
     normalize_rows,
-    positive_pairs,
     stacked_positive_pairs,
 )
 from cclab import losses
@@ -169,9 +168,10 @@ def population_terms_reference(emb_t, dist, k, emb_prev=None):
     """(con_t, con_prev, dis, residual) of the (n, e) rows of f_t and f_prev
     from one pass over the whole (pair, multiset) grid at once, as
     losses._population_terms computed them before it walked the grid in
-    blocks, on the dense counts of dense_negative_weights_reference."""
+    blocks, on the dense counts of dense_negative_weights_reference and the
+    pairs of positive_pairs_reference."""
     counts, neg_w = dense_negative_weights_reference(dist.mass, k)
-    anchors, positives, pair_w = positive_pairs(dist)
+    anchors, positives, pair_w = positive_pairs_reference(dist)
 
     def tables(emb):
         sims = emb @ emb.T
@@ -242,9 +242,11 @@ def dense_negative_weights_reference(mass, k):
 
 
 def positive_pairs_reference(dist):
-    """core.positive_pairs as it found each class's mass before it summed
-    them with np.bincount: a masked cumulative sum over the class-ranked
-    points, each class summed in index order."""
+    """(anchors, positives, weights) of the ordered same-class pairs, as
+    core.stacked_positive_pairs gives them for one trial, with each class's
+    mass found as before it was summed with np.bincount: a masked
+    cumulative sum over the class-ranked points, each class summed in index
+    order."""
     order = np.argsort(dist.labels, kind="stable")
     ranked, m = dist.labels[order], dist.mass[order]
     same = ranked[:, None] == ranked[None, :]
@@ -401,8 +403,7 @@ def _per_task_lambdas(lam, T):
     return lams
 
 
-def _theorem1_upper_reference(train_losses, weights, lam, k=1, minf=None,
-                              minf_mode="analytic"):
+def _theorem1_upper_reference(train_losses, weights, lam, k=1, minf=None):
     losses = [float(x) for x in train_losses]
     T = len(losses)
     if T < 2:
@@ -411,6 +412,7 @@ def _theorem1_upper_reference(train_losses, weights, lam, k=1, minf=None,
         raise ValueError(f"need mixture weights for tasks 2..{T}")
     lams = _per_task_lambdas(lam, T)
     c = constants(k)
+    minf_mode = "analytic" if minf is None else "given"
     if minf is None:
         minf = [analytic_min_contrastive(k)] * (T - 1)
     minf = [float(x) for x in minf]

@@ -3,11 +3,14 @@ training loop produce at small configs, with the numpy version and
 machine that wrote them. ``tests/test_golden.py`` recomputes the same
 outputs with ``outputs()`` and compares them with the file.
 
-Pinned: ``cclab train``'s four output files in the theorem2 mode (whose
-coefficients come from ``compute_U``) and the max mode, ``cclab bounds``'
-two files at defaults, and the training losses, realized test loss and
-both bound values of ``population_bound_check`` on one trained 3-task
-sequence at k = 1 and 2.
+Pinned: ``cclab train``'s four output files in every λ mode (theorem2's
+coefficients come from ``compute_U``), ``cclab probe``'s two files on
+the max run with and without its checkpoint, ``cclab verify``'s report
+without the finite-difference check (its errors move with matmul
+rounding, and criterion 7 checks them), a 2-cell ``cclab sweep``,
+``cclab bounds``' two files at defaults, and the training losses,
+realized test loss and both bound values of ``population_bound_check``
+on one trained 3-task sequence at k = 1 and 2.
 
 Run from the repository root:  PYTHONPATH=src python tests/make_golden.py
 """
@@ -29,14 +32,18 @@ from cclab.trainer import SgdConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 TRAIN = {"tasks": 4, "points_per_class": 6, "epochs": 3, "probe_epochs": 5}
-TRAIN_MODES = ("theorem2", "max")
+TRAIN_MODES = ("theorem2", "max", "fixed", "pure", "min")
 TRAIN_FILES = ("trace.json", "epochs.csv", "final.ckpt", "final.ckpt.json")
+PROBE_FILES = ("probe.json", "probe.csv")
 BOUNDS_FILES = ("bounds.csv", "turning_point.json")
+SWEEP = dict(TRAIN, values=["fixed", "max"], seeds=[0])
 
 
 def platform_key() -> dict:
     """What decides whether outputs can be compared byte for byte."""
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "blas": f"{blas['name']} {blas.get('version')}"}
 
 
 def certify() -> dict:
@@ -59,15 +66,26 @@ def certify() -> dict:
 def outputs(work: Path) -> dict[str, bytes]:
     """Every pinned output by name; the commands write under ``work``."""
     out = {}
+
+    def run(command: str, name: str, config: dict | None, files: tuple[str, ...]) -> None:
+        run_dir = work / name
+        args = [command, "--out", str(run_dir)]
+        if config is not None:
+            run_dir.mkdir(parents=True)
+            (run_dir / "config.json").write_text(json.dumps(config))
+            args += ["--config", str(run_dir / "config.json")]
+        if cli.main(args) != 0:
+            raise RuntimeError(f"cclab {command} failed on {name}")
+        out.update({f"{name}/{file}": (run_dir / file).read_bytes() for file in files})
+
     for mode in TRAIN_MODES:
-        config, run = work / f"train-{mode}.json", work / f"train-{mode}"
-        config.write_text(json.dumps(dict(TRAIN, mode=mode)))
-        if cli.main(["train", "--config", str(config), "--out", str(run)]) != 0:
-            raise RuntimeError(f"cclab train failed in the {mode} mode")
-        out.update({f"train/{mode}/{name}": (run / name).read_bytes() for name in TRAIN_FILES})
-    if cli.main(["bounds", "--out", str(work / "bounds")]) != 0:
-        raise RuntimeError("cclab bounds failed")
-    out.update({f"bounds/{name}": (work / "bounds" / name).read_bytes() for name in BOUNDS_FILES})
+        run("train", f"train/{mode}", dict(TRAIN, mode=mode), TRAIN_FILES)
+    ckpt = str(work / "train" / "max" / "final.ckpt")
+    run("probe", "probe/max", dict(TRAIN, mode="max"), PROBE_FILES)
+    run("probe", "probe/checkpoint", dict(TRAIN, mode="max", checkpoint=ckpt), PROBE_FILES)
+    run("verify", "verify", {"grad_seeds": 0}, ("verify_report.json",))
+    run("sweep", "sweep", SWEEP, ("sweep.csv",))
+    run("bounds", "bounds", None, BOUNDS_FILES)
     out["certify.json"] = json.dumps(certify(), sort_keys=True).encode()
     return out
 

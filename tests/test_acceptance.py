@@ -34,7 +34,7 @@ from cclab.data import (
     scenario_train_losses,
     scenario_weights,
 )
-from cclab.losses import batch_terms
+from cclab.losses import _batch_step
 from cclab.trainer import Encoder, SgdConfig, Temperatures, finite_diff_check, save_checkpoint
 from tests.helpers import oracle_ird, oracle_supcon, single_negative_beta_prime
 
@@ -175,13 +175,13 @@ def test_criterion_08_batch_loss_oracles():
         zp = rng.standard_normal((2 * n_pairs, 5))
         zp /= np.linalg.norm(zp, axis=1, keepdims=True)
         labels = np.repeat(rng.integers(0, 3, size=n_pairs), 2)
-        got_con, _, got_dis, _ = batch_terms(z, labels, temps, zp)
+        got_con, got_dis, _, _ = _batch_step(np.stack((z, zp)), labels, temps)
         assert abs(got_con - oracle_supcon(z, labels, 0.5)) < 1e-10
         assert abs(got_dis - oracle_ird(z, zp, 0.2, 0.01)) < 1e-10
     # a single augmented pair has no negatives and a one-point softmax
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 0])
-    got_con, _, got_dis, _ = batch_terms(z, labels, temps, z[::-1])
+    got_con, got_dis, _, _ = _batch_step(np.stack((z, z[::-1])), labels, temps)
     assert got_con == 0.0
     assert got_dis == 0.0
 

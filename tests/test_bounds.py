@@ -358,6 +358,12 @@ class TestTheorem1:
         assert doc["T"] == 3
         assert doc["value"] == pytest.approx(rep.value)
 
+    def test_minf_mode_names_where_minf_came_from(self):
+        w3 = uniform_weights(3)
+        assert theorem1_upper([1.0, 2.0, 3.0], w3, 1.0).minf_mode == "analytic"
+        assert theorem1_upper([1.0, 2.0, 3.0], w3, 1.0, minf=[0.5, 0.5]).minf_mode == "given"
+        assert theorem1_lower([1.0, 2.0, 3.0], w3, 1.0).minf_mode is None
+
     def test_needs_two_tasks(self):
         with pytest.raises(ValueError):
             theorem1_upper([1.0], [], 1.0)
@@ -407,7 +413,7 @@ class TestTheorem1MatchesReference:
                 for k in (1, 3):
                     self.assert_same("lower", losses, weights, lams, k)
                     self.assert_same("upper", losses, weights, lams, k)
-                    self.assert_same("upper", losses, weights, lams, k, minf, "optimized")
+                    self.assert_same("upper", losses, weights, lams, k, minf)
 
     def test_error_paths_raise_as_before(self):
         w3 = uniform_weights(3)

@@ -168,7 +168,8 @@ class TestConfigHandling:
         assert code == EXIT_IO
 
     def test_bad_grid_is_config_error(self, tmp_path):
-        code = main(["bounds", "--out", str(tmp_path / "o"), "--grid", "oops"])
+        cfg = write_config(tmp_path, "b.json", {"grid": "oops"})
+        code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("grid", [
@@ -181,7 +182,8 @@ class TestConfigHandling:
         "-inf:1:3",
     ])
     def test_grid_out_of_range_is_config_error(self, tmp_path, capsys, grid):
-        code = main(["bounds", "--out", str(tmp_path / "o"), f"--grid={grid}"])
+        cfg = write_config(tmp_path, "b.json", {"grid": grid})
+        code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "Traceback" not in err
@@ -189,8 +191,8 @@ class TestConfigHandling:
         assert not (tmp_path / "o" / "bounds.csv").exists()
 
     def test_skipped_grid_points_give_the_evaluators_reason(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert main(["bounds", "--out", str(out), "--grid=-1:1:3"]) == EXIT_OK
+        out, cfg = tmp_path / "o", write_config(tmp_path, "b.json", {"grid": "-1:1:3"})
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().err.splitlines() == [
             "warning: skipping grid point -1.0: distillation coefficient must be non-negative",
             "warning: skipping grid point 0.0: task 2: coefficient 0.0 gives a zero denominator",
@@ -267,6 +269,13 @@ class TestConfigHandling:
         ("probe", dict(TINY_TRAIN, embed_dim=0)),
         ("sweep", dict(TINY_TRAIN, buffer_size=-1)),
         ("sweep", dict(TINY_TRAIN, probe_epochs=-1)),
+        # a sweep row per value and a cell per seed: no repeats, none empty
+        ("sweep", dict(TINY_TRAIN, values=["max", "max"], seeds=[0, 1])),
+        ("sweep", dict(TINY_TRAIN, vary="lam0", values=[1, 1.0])),
+        ("sweep", dict(TINY_TRAIN, seeds=[])),
+        ("sweep", dict(TINY_TRAIN, values=[])),
+        ("sweep", dict(TINY_TRAIN, seeds=[0, 1, 0])),
+        ("sweep", dict(TINY_TRAIN, seed=5)),  # the cells' seeds are the seeds list
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", doc)
@@ -335,10 +344,47 @@ class TestConfigHandling:
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "o"
-        main(["bounds", "--out", str(out), "--grid", "0.5:2:4"])
+        cfg = write_config(tmp_path, "b.json", {"grid": "0.5:2:4"})
+        main(["bounds", "--config", cfg, "--out", str(out)])
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["command"] == "bounds"
         assert "config" in doc and "version" in doc
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_manifest_rebuilds_the_run(self, tmp_path, command):
+        # the manifest's config is every setting the command ran with: rerun
+        # from it, the command writes the same files
+        doc = {"verify": {"trials": 2, "ks": [1], "grad_seeds": 0},
+               "bounds": {"grid": "0.5:3:4", "T": 3}, "sweep": dict(TINY_TRAIN, seeds=[0])
+               }.get(command, TINY_TRAIN)
+        first, again = tmp_path / "first", tmp_path / "again"
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main([command, "--config", cfg, "--out", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"] == dict(COMMAND_DEFAULTS[command], **doc)
+        rerun = write_config(tmp_path, "m.json", manifest["config"])
+        assert main([command, "--config", rerun, "--out", str(again)]) == EXIT_OK
+        for path in sorted(first.iterdir()):
+            assert path.read_bytes() == (again / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--grid", "0:1:2"]])
+    def test_no_flag_goes_around_the_config(self, tmp_path, capsys, flag):
+        # seeds and the bounds grid are config keys, recorded in the manifest
+        for command in ("train", "bounds"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--out", str(tmp_path / "o"), *flag])
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_lists_only_command_config_and_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        usage = capsys.readouterr().out
+        assert "{verify,train,probe,bounds,sweep}" in usage
+        options = {w.strip("[],") for w in usage.split() if w.lstrip("[").startswith("-")}
+        assert options == {"-h", "--help", "--config", "--out"}
 
 
 class TestTrain:
@@ -364,11 +410,14 @@ class TestTrain:
         assert (a / "final.ckpt").read_bytes() == (b / "final.ckpt").read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path):
-        cfg = write_config(tmp_path, "t.json", SMALL_TRAIN)
+        # the seed is the config's: there is no flag that overrides it
         a, b = tmp_path / "a", tmp_path / "b"
-        main(["train", "--config", cfg, "--out", str(a), "--seed", "1"])
-        main(["train", "--config", cfg, "--out", str(b), "--seed", "2"])
+        main(["train", "--config", write_config(tmp_path, "1.json", dict(SMALL_TRAIN, seed=1)),
+              "--out", str(a)])
+        main(["train", "--config", write_config(tmp_path, "2.json", dict(SMALL_TRAIN, seed=2)),
+              "--out", str(b)])
         assert (a / "trace.json").read_bytes() != (b / "trace.json").read_bytes()
+        assert json.loads((a / "manifest.json").read_text())["config"]["seed"] == 1
 
     # one point per class and no replay: every batch is one point's two views,
     # so SupCon is exactly 0 and task 3's coefficient ratio has no denominator
@@ -507,8 +556,8 @@ class TestProbe:
 
 class TestBounds:
     def test_outputs_and_monotone(self, tmp_path):
-        out = tmp_path / "out"
-        code = main(["bounds", "--out", str(out), "--grid", "0.1:5:30"])
+        out, cfg = tmp_path / "out", write_config(tmp_path, "b.json", {"grid": "0.1:5:30"})
+        code = main(["bounds", "--config", cfg, "--out", str(out)])
         assert code == EXIT_OK
         lines = (out / "bounds.csv").read_text().splitlines()
         assert lines[0] == "lambda,upper,lower"
@@ -518,10 +567,10 @@ class TestBounds:
         assert tp["lambda_star"] == pytest.approx(1.0)
 
     def test_scenario_selection(self, tmp_path):
-        cfg = write_config(tmp_path, "b.json", {"scenario": "example3", "T": 4})
+        cfg = write_config(tmp_path, "b.json", {"scenario": "example3", "T": 4,
+                                                "grid": "0.5:12:24"})
         out = tmp_path / "out"
-        assert main(["bounds", "--config", cfg, "--out", str(out),
-                     "--grid", "0.5:12:24"]) == EXIT_OK
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
         tp = json.loads((out / "turning_point.json").read_text())
         assert tp["lambda_star"] == pytest.approx(10.0)
 

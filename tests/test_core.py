@@ -1,7 +1,6 @@
 """Value objects and the (pair, negative multiset) outcome space."""
 
 import itertools
-import json
 import math
 import time
 import tracemalloc
@@ -21,9 +20,8 @@ from cclab.core import (
     multiset_counts,
     multiset_weights,
     negative_multisets,
-    negative_weights,
     normalize_rows,
-    positive_pairs,
+    stacked_positive_pairs,
 )
 from tests.helpers import (
     dense_counts_reference,
@@ -100,12 +98,6 @@ class TestTaskDistribution:
         with pytest.raises(ValueError, match="points must be finite"):
             TaskDistribution(np.array([[0.0, bad], [1.0, 0.0]]), [0, 1], [0.5, 0.5])
 
-    def test_json_nan_mass_rejected(self):
-        doc = json.loads(four_point_dist().to_json())
-        doc["mass"][0] = float("nan")  # json writes NaN and reads it back
-        with pytest.raises(ValueError, match="finite and sum to 1"):
-            TaskDistribution.from_json(json.dumps(doc))
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TaskDistribution(
@@ -125,23 +117,6 @@ class TestTaskDistribution:
     def test_within_class_missing(self):
         with pytest.raises(KeyError):
             four_point_dist().within_class(9)
-
-    def test_json_round_trip(self):
-        d = four_point_dist()
-        back = TaskDistribution.from_json(d.to_json())
-        np.testing.assert_array_equal(back.points, d.points)
-        np.testing.assert_array_equal(back.labels, d.labels)
-        np.testing.assert_array_equal(back.mass, d.mass)
-
-    def test_json_fields(self):
-        doc = json.loads(four_point_dist().to_json())
-        assert set(doc) == {"dimension", "points", "labels", "mass"}
-
-    def test_json_dimension_mismatch(self):
-        doc = json.loads(four_point_dist().to_json())
-        doc["dimension"] = 5
-        with pytest.raises(ValueError):
-            TaskDistribution.from_json(json.dumps(doc))
 
 
 class TestMixture:
@@ -234,7 +209,8 @@ class TestOutcomeSpace:
             assert got.tobytes() == dense_negative_weights_reference(mass, k)[1].tobytes(), n
 
     def test_positive_pairs_weights_sum_to_one(self):
-        _, _, w = positive_pairs(four_point_dist())
+        d = four_point_dist()
+        w = stacked_positive_pairs(d.labels[None], d.mass[None])[4]
         assert w.sum() == pytest.approx(1.0)
 
     def test_positive_pairs_match_cumsum_reference(self):
@@ -243,16 +219,17 @@ class TestOutcomeSpace:
         for n, n_classes in [(1, 1), (7, 3), (40, 2), (64, 8)]:
             labels = rng.integers(0, n_classes, n) * 7 - 5
             d = TaskDistribution(np.eye(n), labels, rng.dirichlet(np.full(n, 0.3)))
-            got, ref = positive_pairs(d), positive_pairs_reference(d)
-            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+            order, _, rows, positives, w = stacked_positive_pairs(d.labels[None], d.mass[None])
+            ref = positive_pairs_reference(d)
+            assert all(g.tobytes() == r.tobytes() for g, r in zip((order[rows], positives, w), ref))
 
     def test_two_class_one_point_each_counts(self):
         # with one point per class the only positive pair in a class is
         # (x, x); negatives range over the multisets of both points
         d = two_class_dist()
-        _, _, pair_w = positive_pairs(d)
+        pair_w = stacked_positive_pairs(d.labels[None], d.mass[None])[4]
         for k, n_multisets in [(1, 2), (2, 3)]:
-            _, neg_w = negative_weights(d, k)
+            neg_w = multiset_weights(d.mass, *negative_multisets(d.size, k))
             grid = np.outer(pair_w, neg_w)
             assert grid.size == 2 * n_multisets
             assert grid.sum() == pytest.approx(1.0)
@@ -260,7 +237,7 @@ class TestOutcomeSpace:
     def test_weights_sum_to_one_generic(self):
         d = four_point_dist()
         for k in (1, 2, 3, 7):
-            _, neg_w = negative_weights(d, k)
+            neg_w = multiset_weights(d.mass, *negative_multisets(d.size, k))
             assert neg_w.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_weights_aggregate_ordered_tuples(self):
@@ -269,12 +246,12 @@ class TestOutcomeSpace:
         rng = np.random.default_rng(3)
         for n in range(1, 5):
             mass = rng.dirichlet(np.ones(n))
-            d = TaskDistribution(points=np.eye(n), labels=np.arange(n), mass=mass)
             for k in range(1, 4):
                 ordered = defaultdict(float)
                 for combo in itertools.product(range(n), repeat=k):
                     ordered[tuple(sorted(combo))] += math.prod(mass[i] for i in combo)
-                rows, neg_w = negative_weights(d, k)
+                rows, runs, multiplicity = negative_multisets(n, k)
+                neg_w = multiset_weights(mass, rows, runs, multiplicity)
                 got = {tuple(row.tolist()): w for row, w in zip(rows, neg_w)}
                 assert got.keys() == ordered.keys()
                 for key, w in ordered.items():
@@ -283,16 +260,12 @@ class TestOutcomeSpace:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             negative_multisets(2, 0)
-        with pytest.raises(ValueError):
-            negative_weights(two_class_dist(), 0)
 
     def test_k_above_max_rejected_before_any_work(self):
         # 171! overflows float64; the check comes before any table or factorial
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"at most {MAX_K} negative samples, got 171"):
             negative_multisets(1, MAX_K + 1)
-        with pytest.raises(ValueError, match="at most"):
-            negative_weights(two_class_dist(), MAX_K + 1)
         assert time.perf_counter() - start < 0.5
         rows, runs, multiplicity = negative_multisets(1, MAX_K)  # one multiset, once
         assert rows.tolist() == [[0] * MAX_K] and multiplicity.tolist() == [1.0]
@@ -300,13 +273,10 @@ class TestOutcomeSpace:
 
     def test_table_above_the_cap_rejected_before_any_allocation(self, monkeypatch):
         # a 64-point mixture at k = 5: 64 * C(68, 5) ~ 6.7e8 table entries
-        dist = TaskDistribution(np.eye(64), np.arange(64), np.full(64, 1 / 64))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="table entries"):
                 negative_multisets(64, 5)  # the exact pass's entry
-            with pytest.raises(ValueError, match="table entries"):
-                negative_weights(dist, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,9 +14,9 @@ from cclab.core import (
     TaskDistribution,
     mixture,
     multiset_counts,
-    negative_weights,
+    negative_multisets,
     normalize_rows,
-    positive_pairs,
+    stacked_positive_pairs,
 )
 from cclab.data import make_blob_sequence
 from cclab.losses import (
@@ -24,7 +24,6 @@ from cclab.losses import (
     _anchor_tables,
     _batch_step,
     _population_terms,
-    batch_terms,
     decomposition_residual,
     logistic_link,
     population_contrastive,
@@ -153,12 +152,12 @@ class TestAnchorTables:
         # is a distribution whose positive entry the factored table gives
         dist = random_distribution(np.random.default_rng(5), 4, 3)
         emb = random_embedding(dist, 4, np.random.default_rng(6))
-        rows, _ = negative_weights(dist, 2)
+        rows = negative_multisets(dist.size, 2)[0]
         ex = np.empty((dist.size, dist.size))
         _anchor_tables(emb[None], np.arange(dist.size), ex)  # rows in index order
         sums = ex @ multiset_counts(rows, dist.size)
-        anchors, positives, _ = positive_pairs(dist)
-        for a, b in zip(anchors, positives):
+        order, _, anchors, positives, _ = stacked_positive_pairs(dist.labels[None], dist.mass[None])
+        for a, b in zip(order[anchors], positives):
             for J, negs in enumerate(rows):
                 logits = emb[a] @ emb[np.concatenate([[b], negs])].T
                 p = np.exp(logits - logits.max())
@@ -194,7 +193,8 @@ class TestMultisetEvaluator:
 
 def grid_size(dist, k):
     """(P, M): same-class pairs and negative multisets of ``dist``."""
-    return positive_pairs(dist)[0].size, negative_weights(dist, k)[0].shape[0]
+    pairs = stacked_positive_pairs(dist.labels[None], dist.mass[None])[2]
+    return pairs.size, negative_multisets(dist.size, k)[0].shape[0]
 
 
 def assert_same_bits(got, ref):
@@ -464,23 +464,23 @@ TEMPS = Temperatures(contrastive=0.5, distill_current=0.2, distill_past=0.01)
 
 
 class TestEmpiricalContrastive:
-    """The batch SupCon loss of :func:`batch_terms`."""
+    """The batch SupCon loss of :func:`_batch_step`."""
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             z, labels = random_batch(rng)
-            assert batch_terms(z, labels, TEMPS)[0] == pytest.approx(
+            assert _batch_step(z[None], labels, TEMPS)[0] == pytest.approx(
                 oracle_supcon(z, labels, 0.5), abs=1e-10
             )
 
     def test_single_pair_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert batch_terms(z, np.array([0, 0]), TEMPS)[0] == 0.0
+        assert _batch_step(z[None], np.array([0, 0]), TEMPS)[0] == 0.0
 
     def test_anchor_without_positive_rejected(self):
         with pytest.raises(ValueError):
-            batch_terms(np.eye(2), np.array([0, 1]), TEMPS)
+            _batch_step(np.eye(2)[None], np.array([0, 1]), TEMPS)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ValueError):
@@ -488,30 +488,26 @@ class TestEmpiricalContrastive:
 
 
 class TestEmpiricalDistillation:
-    """The batch IRD loss of :func:`batch_terms`."""
+    """The batch IRD loss of :func:`_batch_step`."""
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             z, labels = random_batch(rng)
             zp, _ = random_batch(rng)
-            l_con, _, l_dis, _ = batch_terms(z, labels, TEMPS, zp)
+            l_con, l_dis, _, _ = _batch_step(np.stack((z, zp)), labels, TEMPS)
             assert l_dis == pytest.approx(oracle_ird(z, zp, 0.2, 0.01), abs=1e-10)
-            assert l_con == batch_terms(z, labels, TEMPS)[0]
+            assert l_con == _batch_step(z[None], labels, TEMPS)[0]
 
     def test_single_pair_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert batch_terms(z, np.array([0, 0]), TEMPS, z[::-1])[2] == 0.0
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_terms(np.eye(2), np.array([0, 0]), TEMPS, np.eye(3))
+        assert _batch_step(np.stack((z, z[::-1])), np.array([0, 0]), TEMPS)[1] == 0.0
 
     def test_without_past_rows_has_no_distillation(self):
         rng = np.random.default_rng(23)
         z, labels = random_batch(rng)
-        _, _, l_dis, g_dis = batch_terms(z, labels, TEMPS)
-        assert l_dis == 0.0 and g_dis is None
+        _, l_dis, _, p = _batch_step(z[None], labels, TEMPS)
+        assert l_dis == 0.0 and len(p) == 1  # SupCon's softmax alone
 
 
 class TestMaskedSoftmax:
@@ -594,7 +590,8 @@ class TestBatchStep:
         rng = np.random.default_rng(37)
         z, labels = random_batch(rng)
         zp, _ = random_batch(rng)
-        l_con, g_con, l_dis, g_dis = batch_terms(z, labels, TEMPS, zp)
+        l_con, l_dis, g_con, p = _batch_step(np.stack([z, zp]), labels, TEMPS)
+        g_dis = (p[1] - p[2]) / TEMPS.distill_current  # the IRD gradient in zz'
         _, _, g, _ = _batch_step(np.stack([z, zp]), labels, TEMPS, 0.7)
         assert _rel(g_con + 0.7 * g_dis, g) <= 1e-12
         ref = batch_terms_reference(z, labels, TEMPS, zp)
