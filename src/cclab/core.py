@@ -152,28 +152,50 @@ def mixture(dists: list[TaskDistribution], w: MixtureWeights) -> TaskDistributio
     return TaskDistribution(points=points, labels=labels, mass=mass)
 
 
+# Index rows built per block of this many: a block of parents extends into
+# at most this many child rows, and the multinomials are taken this many
+# rows at a time, so the build's temporaries stay small beside the cache.
+_ROW_BLOCK = 1 << 14
+
+
 @functools.lru_cache(maxsize=64)
 def _multiset_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M, k) index rows in combinations_with_replacement order, in the
     smallest unsigned dtype that holds n; their runs, the length of each run
     of equal indices at its last column and 0 elsewhere; and their exact
-    integer multinomials, as float. Each row extends by every index from its
-    last on, and its multinomial grows by size / run length. Rows and runs
-    are views of (k, M) arrays, one contiguous row per column."""
+    integer multinomials k! / prod runs!, as float. Each row extends by
+    every index from its last on, a block of parent rows at a time written
+    into the next size's arrays, so the build peaks near the size of the
+    arrays it keeps. Rows and runs are views of (k, M) arrays, one
+    contiguous row per column."""
     rows, runs = np.arange(n, dtype=np.min_scalar_type(n))[None], np.ones((1, n), np.uint8)
-    mult = np.ones(n, dtype=np.int64 if k <= 20 else object)  # 20! fits int64
+    per_block = max(1, _ROW_BLOCK // n)  # parents of at most _ROW_BLOCK children
     for size in range(2, k + 1):
-        last = rows[-1].astype(np.intp)
-        parent = np.repeat(np.arange(len(last)), n - last)
-        new = np.arange(len(parent)) - np.repeat(np.cumsum(n - last) - n, n - last)  # last..n-1
-        runs = runs[:, parent]
-        extends = new == last[parent]  # the last run grows by one, or a new run of one starts
-        run = np.where(extends, runs[-1] + 1, 1)
-        runs[-1, extends] = 0
-        mult = mult[parent] * size // run.astype(np.int64)
-        rows = np.vstack([rows[:, parent], new.astype(rows.dtype)])
-        runs = np.vstack([runs, run])
-    mult = mult.astype(np.float64)
+        grown = math.comb(n + size - 1, size)
+        rows_next = np.empty((size, grown), rows.dtype)
+        runs_next = np.empty((size, grown), np.uint8)
+        c0 = 0
+        for p0 in range(0, rows.shape[1], per_block):
+            block = slice(p0, p0 + per_block)
+            last = rows[-1, block].astype(np.intp)
+            parent = np.repeat(np.arange(len(last)), n - last)
+            new = np.arange(len(parent)) - np.repeat(np.cumsum(n - last) - n, n - last)  # last..n-1
+            kids = slice(c0, c0 + len(parent))
+            c0 = kids.stop
+            rows_next[:-1, kids] = rows[:, block].take(parent, 1)
+            rows_next[-1, kids] = new
+            run = runs[:, block].take(parent, 1)
+            extends = new == last[parent]  # the last run grows by one, or a new run of one starts
+            runs_next[-1, kids] = np.where(extends, run[-1] + 1, 1)
+            run[-1, extends] = 0
+            runs_next[:-1, kids] = run
+        rows, runs = rows_next, runs_next
+    factorial = np.array([math.factorial(i) for i in range(k + 1)],
+                         dtype=np.int64 if k <= 20 else object)  # 20! fits int64
+    mult = np.empty(rows.shape[1])
+    for c0 in range(0, len(mult), _ROW_BLOCK):
+        block = slice(c0, c0 + _ROW_BLOCK)
+        mult[block] = factorial[k] // np.multiply.reduce(factorial.take(runs[:, block]), axis=0)
     for a in (rows, runs, mult):
         a.setflags(write=False)
     return rows.T, runs.T, mult

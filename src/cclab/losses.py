@@ -21,9 +21,12 @@ bytes, plus one block of at most 6553 multisets' (n, J) counts and
 weights, the tables of one chunk of anchors and one block of about 2^15
 grid entries; no (M, n) array is formed. A k = 2 distillation pass on a
 64-point mixture peaks at 2.55 MiB (tracemalloc), against 2.8 MiB with
-dense (M, n) counts, and a pass at (n, k) = (16, 8) at 25 MiB, against
-157 MiB. A pass takes a stack of same-size trials,
-each bit-identical to a pass on it alone: bounds.lemma1_trials evaluates
+dense (M, n) counts, and a pass at (n, k) = (16, 8) with a cold row cache
+at 13.5-14.9 MiB, against 157 MiB. A pass takes a stack of same-size trials,
+each bit-identical to a pass on it alone: a block of the grid weights
+each trial's pairs with one matmul per trial and then folds every trial
+against its multisets' weights in one stacked matmul, so a block of
+many small trials costs few numpy calls. bounds.lemma1_trials evaluates
 its random trials in stacked blocks, and population_bound_check its
 2T - 1 contrastive (embedding, distribution) pairs in one pass per support
 size, with population_distillation asking for the CE alone (``dis_only``).
@@ -143,12 +146,15 @@ def _stacked_terms(
     block of ``_MULTISETS`` at a time, whose (n, J) counts and weights
     are formed from the cached index rows. Against each block, all trials'
     pairs, in stacked_positive_pairs order, are walked in blocks of at most
-    ``_BLOCK // min(M, _MULTISETS)`` that split only a longer trial, and each trial's
-    segment is folded as pair_w[seg] @ values @ neg_w[trial]: a trial sums
-    as in a pass on it alone, and a trial of one block as a whole-grid
-    pass. S, S' and R are built by BLAS on the counts, a chunk of anchors
-    at a time, in class-ranked rows: whole trials while they fit, else part
-    of one from a block's first anchor on.
+    ``_BLOCK // min(M, _MULTISETS)`` that split only a longer trial. Each
+    trial's segment of a block is weighted by its pairs, pair_w[seg] @
+    values, into one (trials, lines, 1, w) array sized to the block, and
+    one stacked matmul with the trials' (w, 1) multiset weights folds them
+    all, each slice the (1, w) @ (w, 1) product of a one-trial fold: a
+    trial sums as in a pass on it alone, and a trial of one block as a
+    whole-grid pass. S, S' and R are built by BLAS on the counts, a chunk
+    of anchors at a time, in class-ranked rows: whole trials while they
+    fit, else part of one from a block's first anchor on.
     """
     B, n = labels.shape
     multisets, runs, multiplicity = negative_multisets(n, k)
@@ -224,9 +230,10 @@ def _stacked_terms(
             v = v[folded]
             i0, i1 = bisect.bisect_right(starts, lo), bisect.bisect_left(starts, stop)
             edges = [lo, *starts[i0:i1], stop]  # the block's segment of each trial
-            for b, seg0, seg1 in zip(range(i0 - 1, i1), edges, edges[1:]):
-                w_v = pair_w[seg0:seg1] @ v[:, seg0 - lo : seg1 - lo]
-                acc[b] += (w_v[:, None] @ neg_w[b])[:, 0, 0]
+            w_v = np.empty((i1 - i0 + 1, len(v), 1, w))  # each segment's pair-weighted lines
+            for seg_w, seg0, seg1 in zip(w_v, edges, edges[1:]):
+                np.matmul(pair_w[seg0:seg1], v[:, seg0 - lo : seg1 - lo], out=seg_w[:, 0])
+            acc[i0 - 1 : i1] += (w_v @ neg_w[i0 - 1 : i1, None])[:, :, 0, 0]
             lo = stop
     out[:, 3] = out[:, 2] - out[:, 0] - out[:, 3]
     return out

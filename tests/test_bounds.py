@@ -230,10 +230,13 @@ class TestStackedTrials:
 
     @staticmethod
     def check(monkeypatch, n, k, trials, seed, alpha_corruption=0.0):
-        seen = []
+        """Compare both checks with the reference and return the (B, n)
+        labels of each stacked call the decomposition check made."""
+        seen, blocks = [], []
 
         def record(*args):
             seen.append(_stacked_terms(*args))
+            blocks.append(args[1])
             return seen[-1]
 
         monkeypatch.setattr(bounds, "_stacked_terms", record)
@@ -245,15 +248,53 @@ class TestStackedTrials:
         assert same_bytes(np.concatenate(seen), ref_terms)
         assert same_bytes(worst, ref_worst)
         seen.clear()
+        blocks.clear()
         res = decomposition_check_trials(trials, k, seed, support_size=n)
         assert same_bytes(np.concatenate(seen), ref_terms)
         assert same_bytes(res, ref_res)
-        return len(seen)
+        return blocks
+
+    @staticmethod
+    def pair_counts(labels):
+        return (labels[:, :, None] == labels[:, None, :]).sum(axis=(1, 2))
 
     @pytest.mark.parametrize("n, k, trials", CELLS)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_exact_sandwich_cells(self, monkeypatch, n, k, trials, seed):
-        assert self.check(monkeypatch, n, k, trials, seed) == 1  # one stacked call
+        assert len(self.check(monkeypatch, n, k, trials, seed)) == 1  # one stacked call
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_three_pair_counts_in_one_block(self, monkeypatch, k, seed):
+        # two classes on 6 points split 1-5, 2-4 or 3-3: 26, 20 or 18 pairs.
+        # The exact-sandwich cells mix only 8 and 10 pairs at n = 4
+        blocks = self.check(monkeypatch, 6, k, 24, seed)
+        assert len(blocks) == 1
+        assert len(set(self.pair_counts(blocks[0]).tolist())) == 3
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (8, 3)])
+    def test_blocks_of_one_trial(self, monkeypatch, n, k):
+        # one trial's table entries a block: each stacked call holds a single
+        # trial, whose pass folds one segment a block of pairs
+        monkeypatch.setattr(bounds, "_BLOCK", n * math.comb(n + k - 1, k))
+        blocks = self.check(monkeypatch, n, k, 5, 2)
+        assert [len(b) for b in blocks] == [1] * 5
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_three_classes_fold_as_alone(self, k):
+        # three classes on 6 points: a block whose trials hold up to five
+        # different pair counts, each folded as in a pass on it alone
+        rng = np.random.default_rng(30 + k)
+        labels, mass, normals = bounds._draw(rng, 16, 6, 3, 4, n_classes=3)
+        assert len(set(self.pair_counts(labels).tolist())) >= 3
+        emb = normals[:, 18:].reshape(16, 2, 6, 4)
+        emb /= np.linalg.norm(emb, axis=-1, keepdims=True)
+        for prev in (None, emb[:, 1]):
+            got = _stacked_terms(emb[:, 0], labels, mass, k, prev)
+            for b in range(16):
+                alone = _stacked_terms(emb[b : b + 1, 0], labels[b : b + 1], mass[b : b + 1], k,
+                                       None if prev is None else prev[b : b + 1])
+                assert same_bytes(got[b], alone[0])
 
     @pytest.mark.parametrize("alpha_corruption", [-2.0, 0.3])
     def test_alpha_corruption(self, monkeypatch, alpha_corruption):
@@ -267,7 +308,7 @@ class TestStackedTrials:
         # then works in blocks of 10, 2 and 1 trials.
         for module in (losses, bounds):
             monkeypatch.setattr(module, "_BLOCK", rows * 10)
-        calls = self.check(monkeypatch, 4, 2, 25, 3)
+        calls = len(self.check(monkeypatch, 4, 2, 25, 3))
         assert calls == -(-25 // max(1, rows // 4))
 
     def test_large_k_splits_trials(self, monkeypatch):
@@ -289,16 +330,51 @@ class TestStackedTrials:
         assert info.value.args == (losses._BLOCK // (4 * 4),)  # n * C(n, 1) entries a trial
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 16])
-    def test_random_distribution_draws_as_dirichlet(self, n):
+    def test_random_distribution_draws_as_dirichlet(self, monkeypatch, n):
         # the masses come from unit exponentials over their running sum,
-        # which is how rng.dirichlet(ones(n)) draws them
-        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        for _ in range(5):
-            got = random_distribution(rng, n, 3)
-            ref = random_distribution_reference(ref_rng, n, 3)
-            for field in ("points", "labels", "mass"):
-                assert same_bytes(getattr(got, field), getattr(ref, field))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # which is how rng.dirichlet(ones(n)) draws them; the free labels
+        # are the same whether drawn as scalars or in one sized call
+        for scalar_draws in (0, 3, 16):
+            monkeypatch.setattr(bounds, "_SCALAR_DRAWS", scalar_draws)
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(5):
+                got = random_distribution(rng, n, 3)
+                ref = random_distribution_reference(ref_rng, n, 3)
+                for field in ("points", "labels", "mass"):
+                    assert same_bytes(getattr(got, field), getattr(ref, field))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_draw_refuses_masses_that_are_no_distribution(self, fill):
+        # exponentials of 0, NaN or inf leave NaN masses, which would pass
+        # a non-negativity test; the draw raises instead
+        class Stub:
+            def integers(self, *args, size=None):
+                return 0 if size is None else np.zeros(size, np.int64)
+
+            def standard_exponential(self, out):
+                out.fill(fill)
+
+            def standard_normal(self, out):
+                out.fill(0.0)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="positive and sum to 1"):
+                bounds._draw(Stub(), 3, 4, 3, 4)
+
+    @pytest.mark.parametrize("hi", [1, 2, 3, 7])
+    def test_sized_label_draw_is_scalar_draws(self, hi):
+        # bounds._draw takes a trial's few free labels as scalar draws and
+        # more as one sized draw, on the numpy behaviour pinned here: both
+        # take each bounded value from one 32-bit word, so the values and
+        # the generator's state after them agree
+        for seed in range(50):
+            sized, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for m in range(9):
+                want = sized.integers(0, hi, size=m)
+                got = [scalar.integers(hi) for _ in range(m)]
+                assert want.dtype == np.int64 and want.tolist() == got, (seed, m)
+                assert sized.bit_generator.state == scalar.bit_generator.state, (seed, m)
 
 
 class TestMinContrastive:

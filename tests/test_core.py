@@ -183,6 +183,41 @@ class TestOutcomeSpace:
             assert multiplicity.tobytes() == ref_multiplicity.tobytes(), (n, k)
             n += 1
 
+    @pytest.mark.parametrize("row_block", [1, 3, 7, 40])
+    def test_build_blocks_share_every_bit(self, row_block):
+        # blocks of one parent, of fewer parents than some rows have
+        # children, and of several parents give the one-block build's arrays,
+        # on the int64 multinomials and on the exact integers past k = 20
+        cells = [(1, 3), (2, 2), (3, 5), (5, 4), (7, 3), (2, 25), (3, 22)]
+        core._multiset_rows.cache_clear()
+        whole = [core._multiset_rows(n, k) for n, k in cells]
+        core._multiset_rows.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_ROW_BLOCK", row_block)
+                for (n, k), ref in zip(cells, whole):
+                    got = core._multiset_rows(n, k)
+                    for a, b in zip(got, ref):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, k)
+                    assert got[0].T.flags.c_contiguous and got[1].T.flags.c_contiguous
+        finally:
+            core._multiset_rows.cache_clear()
+
+    def test_build_peaks_near_what_it_keeps(self):
+        # (16, 8): 490314 multisets, whose uint8 rows and runs and float
+        # multiplicities keep 11.2 MiB. Extending all rows at once through
+        # int64 temporaries of every length peaked at 25.4 MiB, 2.26 times that
+        core._multiset_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            negative_multisets(16, 8)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            core._multiset_rows.cache_clear()
+        assert retained >= 24 * math.comb(23, 8)
+        assert peak <= 1.3 * retained
+
     @pytest.mark.parametrize("n, k", [(1, 7), (4, 5), (8, 3), (16, 2), (64, 2), (12, 4)])
     def test_count_blocks_match_dense_counts(self, n, k):
         rows, _, _ = negative_multisets(n, k)
